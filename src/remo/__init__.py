@@ -31,7 +31,6 @@ from .protocol import (
     audit_transcript,
     decode_message,
     encode_message,
-    serve,
 )
 from .ring import (
     QuantParams,
@@ -84,5 +83,4 @@ __all__ = [
     "ring_matmul",
     "ring_sub",
     "save_weights",
-    "serve",
 ]

@@ -1,11 +1,12 @@
-"""Batch experiment entry point: demo, invariance, attack, privacy, bench, serve.
+"""Batch experiment entry point: demo, invariance, attack, privacy, serve.
 
 Configuration is flat `key = value` text with `#` comments; every knob
-has a documented default and unknown keys are rejected.  Reports are
-split into deterministic data files (report.csv / report.json) and a
-meta.json carrying timestamps and host info, so two runs with the same
-config produce byte-identical data files (bench timing measurements are
-the one inherently non-reproducible data column).
+has a documented default and unknown keys are rejected.  Every command
+but `serve` writes its reports under `out_dir`, split into deterministic
+data files (report.csv / report.json) and a meta.json carrying
+timestamps and host info, so two runs with the same config produce
+byte-identical data files.  Latency and throughput are measured by
+`bench/run.py`, not here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import json
 import os
 import platform
 import sys
-import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,12 +84,6 @@ class RunConfig:
     game_trials: int = 1_000_000
     consistent_count: int = 10
     stacking_attempts: int = 64
-    # bench
-    bench_clients: tuple = (1, 2, 4, 8)
-    bench_port: int = 0
-    bench_requests: int = 2
-    bench_prompt_len: int = 8
-    bench_max_new: int = 16
     # serve
     serve_host: str = "127.0.0.1"
     serve_port: int = DEFAULT_PORT
@@ -109,15 +103,10 @@ class RunConfig:
         return int.from_bytes(digest[:8], "little") >> 1
 
 
-_TUPLE_FIELDS = {"lambda_ratios", "bench_clients"}
-
-
 def _parse_value(name: str, raw: str, kind):
     try:
-        if name in _TUPLE_FIELDS:
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            conv = float if name == "lambda_ratios" else int
-            return tuple(conv(p) for p in parts)
+        if kind is tuple:  # lambda_ratios, the one tuple field
+            return tuple(float(p) for p in raw.split(",") if p.strip())
         if kind is int:
             return int(raw)
         if kind is float:
@@ -168,20 +157,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(out) + "\n")
 
 
-def _write_meta(out_dir: Path, command: str, started: float) -> None:
-    _write_json(
-        out_dir / "meta.json",
-        {
-            "command": command,
-            "started_unix": started,
-            "finished_unix": time.time(),
-            "host": platform.node(),
-            "platform": platform.platform(),
-            "python": sys.version.split()[0],
-        },
-    )
-
-
 class _CountingTransport:
     """Wraps a transport to count messages and wire bytes for reports."""
 
@@ -220,10 +195,7 @@ def _open_transport(cfg: RunConfig, provider: ProviderState):
     raise ParseError(f"unknown transport {cfg.transport!r}")
 
 
-def cmd_demo(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
     weights, provider, enclave, transcript = _build_world(cfg)
     prompt = atk.make_corpus(1, cfg.prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind)[0]
     transport = _CountingTransport(_open_transport(cfg, provider))
@@ -251,15 +223,11 @@ def cmd_demo(cfg: RunConfig) -> int:
         "bytes_in": transport.bytes_in,
         "audit_passed": None if audit is None else audit.passed,
     })
-    _write_meta(out_dir, "demo", started)
     ok = match and (audit is None or audit.passed)
     return 0 if ok else 1
 
 
-def cmd_invariance(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.prompts < 1:
         raise EmptyRun("invariance needs at least one prompt")
     weights, provider, enclave, _ = _build_world(cfg)
@@ -293,14 +261,10 @@ def cmd_invariance(cfg: RunConfig) -> int:
     _write_json(out_dir / "report.json", {
         "prompts": cfg.prompts, "tra": overall, "all_match": all_match,
     })
-    _write_meta(out_dir, "invariance", started)
     return 0 if all_match else 1
 
 
-def cmd_attack(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
     weights = init_weights(cfg.model_config(), cfg.seed_for("model"))
     provider = ProviderState(weights.provider_view(), cfg.model_config().params)  # no transcript: keep memory flat
     enclave = Enclave(weights.enclave_view(), cfg.seed_for("session"), mask_ratio=cfg.mask_ratio)
@@ -338,14 +302,10 @@ def cmd_attack(cfg: RunConfig) -> int:
         "chance": chance,
         "clauses": clauses,
     })
-    _write_meta(out_dir, "attack", started)
     return 0 if all(clauses.values()) else 1
 
 
-def cmd_privacy(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     trial_seed = cfg.seed_for("trial")
     game_rows = []
     game_pass = True
@@ -421,85 +381,6 @@ def cmd_privacy(cfg: RunConfig) -> int:
         },
         "all_pass": all_ok,
     })
-    _write_meta(out_dir, "privacy", started)
-    return 0 if all_ok else 1
-
-
-def cmd_bench(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    weights = init_weights(cfg.model_config(), cfg.seed_for("model"))
-    state = ProviderState(weights.provider_view(), cfg.model_config().params)
-    server = ProviderServer(state, host="127.0.0.1", port=cfg.bench_port,
-                            idle_timeout=cfg.timeout_s)
-    host, port = server.address
-    enclave = Enclave(weights.enclave_view(), cfg.seed_for("session"), mask_ratio=cfg.mask_ratio)
-    rows = []
-    all_ok = True
-    try:
-        boot = TcpTransport(host, port, timeout=cfg.timeout_s)
-        enclave.setup(boot)
-        boot.close()
-        for clients in cfg.bench_clients:
-            results: list[list] = []
-            errors_seen: list[Exception] = []
-
-            def client_main(idx: int) -> None:
-                try:
-                    transport = TcpTransport(host, port, timeout=cfg.timeout_s)
-                    try:
-                        prompts = atk.make_corpus(
-                            cfg.bench_requests, cfg.bench_prompt_len, cfg.vocab,
-                            cfg.seed_for("corpus") + 1000 * clients + idx, cfg.corpus_kind,
-                        )
-                        for ri, prompt in enumerate(prompts):
-                            marks = {}
-                            t0 = time.monotonic()
-                            got = enclave.run_session(
-                                transport, prompt, cfg.bench_max_new,
-                                tap=None, _first_token_mark=marks,
-                            )
-                            t1 = time.monotonic()
-                            want = reference_generate(weights, prompt, cfg.bench_max_new)
-                            ttft = marks.get("first_token", t1) - t0
-                            e2e = t1 - t0
-                            results.append([clients, idx, ri, ttft * 1e3, e2e * 1e3,
-                                            len(got), got == want, ttft <= e2e])
-                    finally:
-                        transport.close()
-                except Exception as exc:  # noqa: BLE001 - collected and reported
-                    errors_seen.append(exc)
-
-            threads = [threading.Thread(target=client_main, args=(i,)) for i in range(clients)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors_seen:
-                raise errors_seen[0]
-            ok = all(r[6] and r[7] for r in results)
-            all_ok &= ok
-            e2es = sorted(r[4] for r in results)
-            ttfts = sorted(r[3] for r in results)
-            mid = len(e2es) // 2
-            print(f"clients={clients}: {len(results)} requests, "
-                  f"median e2e={e2es[mid]:.1f} ms, median ttft={ttfts[mid]:.1f} ms, "
-                  f"outputs match reference: {ok}")
-            rows.extend(results)
-    finally:
-        server.shutdown()
-    _write_csv(
-        out_dir / "report.csv",
-        ["clients", "client", "request", "ttft_ms", "e2e_ms", "tokens", "match", "ttft_le_e2e"],
-        rows,
-    )
-    _write_json(out_dir / "report.json", {
-        "client_counts": list(cfg.bench_clients),
-        "requests": len(rows),
-        "all_match": all_ok,
-    })
-    _write_meta(out_dir, "bench", started)
     return 0 if all_ok else 1
 
 
@@ -532,10 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--max-new", "max_new", int),
         ("--attack-prompts", "attack_prompts", int),
         ("--game-trials", "game_trials", int),
-        ("--bench-port", "bench_port", int),
         ("--port", "serve_port", int),
     ]
-    for name in ("demo", "invariance", "attack", "privacy", "bench", "serve"):
+    for name in ("demo", "invariance", "attack", "privacy", "serve"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
         for flag, dest, typ in overrides:
@@ -554,15 +434,27 @@ def main(argv=None) -> int:
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None:
             cfg.seed = int(env_seed)
+        if args.command == "serve":
+            return cmd_serve(cfg)
         handler = {
             "demo": cmd_demo,
             "invariance": cmd_invariance,
             "attack": cmd_attack,
             "privacy": cmd_privacy,
-            "bench": cmd_bench,
-            "serve": cmd_serve,
         }[args.command]
-        return handler(cfg)
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        started = time.time()
+        code = handler(cfg, out_dir)
+        _write_json(out_dir / "meta.json", {
+            "command": args.command,
+            "started_unix": started,
+            "finished_unix": time.time(),
+            "host": platform.node(),
+            "platform": platform.platform(),
+            "python": sys.version.split()[0],
+        })
+        return code
     except TransportClosed as exc:
         print(f"error: TransportClosed: {exc}", file=sys.stderr)
         return 2

@@ -96,32 +96,12 @@ class ProtocolError(RemoError):
     """Malformed or unexpected peer behaviour not covered by a finer type."""
 
 
-_WIRE_CODES = {
-    cls.__name__: cls
-    for cls in (
-        ShapeMismatch,
-        RangeOverflow,
-        SketchReissue,
-        BadDims,
-        TokenOutOfRange,
-        EmptyInput,
-        CacheInconsistent,
-        SessionExhausted,
-        DecodeError,
-        LengthMismatch,
-        UnknownOp,
-        TransportClosed,
-        BindFailure,
-        AuditFail,
-        TapUnavailable,
-        EmptyClass,
-        DimTooLarge,
-        TrivialKernel,
-        ParseError,
-        EmptyRun,
-        ProtocolError,
-    )
-}
+class BadParams(RemoError):
+    pass
+
+
+# every direct subclass crosses the wire under its class name
+_WIRE_CODES = {cls.__name__: cls for cls in RemoError.__subclasses__()}
 
 
 def error_code(exc: RemoError) -> str:

@@ -108,14 +108,6 @@ def derive_step_mask(
     return prg.ring_matrix(n, m, params, "private-mix", step, op_id)
 
 
-@dataclass(frozen=True)
-class StepMasks:
-    """The private mixing matrices of a single decoding step, then discarded."""
-
-    step: int
-    per_op: dict  # op_id -> RingMatrix (n x m)
-
-
 def mask_embedding(e: RingMatrix, m_pvt: RingMatrix, m_pub: RingMatrix) -> RingMatrix:
     """E + M_pvt @ M_pub; the combined mask never escapes this frame."""
     if e.cols != m_pub.cols or m_pvt.cols != m_pub.rows or e.rows != m_pvt.rows:

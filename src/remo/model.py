@@ -358,13 +358,12 @@ class DecoderEngine:
         self.pos += 1
         return argmax_token(logits)
 
-    def generate(self, prompt, max_new: int, on_token=None) -> list[int]:
+    def generate(self, prompt, max_new: int) -> list[int]:
         """Run the prompt, then decode until EOS or max_new tokens.
 
         Returns only the response (EOS included when it terminates
         generation).  Every produced token except the last is fed back,
-        so the prompt must leave at least one free position.  `on_token`
-        is invoked with each response token as soon as it exists.
+        so the prompt must leave at least one free position.
         """
         prompt = [int(t) for t in prompt]
         if not prompt:
@@ -379,12 +378,8 @@ class DecoderEngine:
         for t in prompt:
             nxt = self.decode_step(t)
         out = [nxt]
-        if on_token is not None:
-            on_token(nxt)
         while len(out) < max_new and out[-1] != self.cfg.eos_id:
             out.append(self.decode_step(out[-1]))
-            if on_token is not None:
-                on_token(out[-1])
         return out
 
 

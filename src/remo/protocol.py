@@ -34,10 +34,10 @@ from .errors import (
     TransportClosed,
     UnknownOp,
 )
-from .masking import MaskBase, MaskIssuer, StepMasks, derive_step_mask, mask_embedding, recover
+from .masking import MaskBase, MaskIssuer, derive_step_mask, mask_embedding, recover
 from .model import DecoderEngine, EnclaveParams, ModelConfig
 from .prg import PrgKey
-from .ring import QuantParams, RingMatrix, decode_matrix, encode_matrix, ring_matmul, zeros
+from .ring import QuantParams, RingMatrix, decode_matrix, encode_matrix, ring_matmul
 
 DEFAULT_PORT = 7431
 MAX_FRAME = 1 << 28  # desk-scale sanity cap
@@ -247,8 +247,10 @@ class Transcript:
 class ProviderState:
     """Weight holder; answers setup and masked-matmul requests.
 
-    Holds only weight matrices and bookkeeping: no embeddings, tokens or
-    KV values are constructible from the messages it accepts.
+    Holds only weight matrices and per-op issue flags: no embeddings,
+    tokens or KV values are constructible from the messages it accepts.
+    Sessions are not tracked; OpenSession and CloseSession are
+    acknowledged by echo.
     """
 
     def __init__(
@@ -261,21 +263,17 @@ class ProviderState:
         self.params = params
         self.transcript = transcript
         self.issued: set[str] = set()
-        self.session_steps: dict[int, int] = {}
         self._lock = threading.Lock()
-
-    def _record(self, msg: Message, reply: Message) -> None:
-        if self.transcript is not None:
-            self.transcript.append(TO_PROVIDER, msg)
-            self.transcript.append(FROM_PROVIDER, reply)
 
     def handle(self, msg: Message) -> Message:
         try:
             reply = self._dispatch(msg)
         except errors.RemoError as exc:
             reply = ErrorReply(errors.error_code(exc), str(exc))
-        with self._lock:
-            self._record(msg, reply)
+        if self.transcript is not None:
+            with self._lock:  # keep each request next to its reply
+                self.transcript.append(TO_PROVIDER, msg)
+                self.transcript.append(FROM_PROVIDER, reply)
         return reply
 
     def _dispatch(self, msg: Message) -> Message:
@@ -283,14 +281,8 @@ class ProviderState:
             return self._setup(msg)
         if isinstance(msg, MatMulRequest):
             return self._matmul(msg)
-        if isinstance(msg, OpenSession):
-            with self._lock:
-                self.session_steps.setdefault(msg.session, 0)
-            return OpenSession(msg.session)
-        if isinstance(msg, CloseSession):
-            with self._lock:
-                self.session_steps.pop(msg.session, None)
-            return CloseSession(msg.session)
+        if isinstance(msg, (OpenSession, CloseSession)):
+            return type(msg)(msg.session)
         raise ProtocolError(f"provider cannot handle {type(msg).__name__}")
 
     def _weights_for(self, op_id: str) -> RingMatrix:
@@ -322,8 +314,6 @@ class ProviderState:
             )
         if msg.masked.params != self.params:
             raise ShapeMismatch("input params differ from provider params")
-        with self._lock:
-            self.session_steps[msg.session] = msg.step
         return MatMulReply(msg.session, msg.step, msg.op_id, ring_matmul(msg.masked, w))
 
 
@@ -379,11 +369,17 @@ class TcpTransport:
         self.sock.settimeout(timeout)
 
     def request(self, msg: Message) -> Message:
+        frame = encode_message(msg)
         try:
-            self.sock.sendall(encode_message(msg))
+            self.sock.sendall(frame)
+            reply = read_frame(self.sock)
         except OSError as exc:
+            self.close()
             raise TransportClosed(str(exc)) from exc
-        return decode_message(read_frame(self.sock))
+        except errors.RemoError:
+            self.close()  # a late or partial reply would answer the next request
+            raise
+        return decode_message(reply)
 
     def close(self) -> None:
         try:
@@ -420,7 +416,7 @@ class ProviderServer:
                 break
             t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
             t.start()
-            self._threads.append(t)
+            self._threads = [old for old in self._threads if old.is_alive()] + [t]
 
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(self.idle_timeout)
@@ -460,24 +456,15 @@ class ProviderServer:
             t.join(timeout=2.0)
 
 
-def serve(address: tuple[str, int], ops: dict[str, RingMatrix], params: QuantParams,
-          transcript: Transcript | None = None) -> ProviderServer:
-    """Bind and start a provider; returns the running server handle."""
-    state = ProviderState(ops, params, transcript=transcript)
-    return ProviderServer(state, host=address[0], port=address[1])
-
-
 # --- enclave ------------------------------------------------------------------
 
 
 @dataclass
 class Session:
-    """Per-client enclave state: id, PRG key, step counter, token buffer."""
+    """Per-client enclave state: the session id and its PRG key."""
 
     session_id: int
     prg: PrgKey
-    tokens_fed: list[int] = field(default_factory=list)
-    response: list[int] = field(default_factory=list)
 
 
 class Enclave:
@@ -532,14 +519,14 @@ class Enclave:
             sid = self._session_counter
         return Session(session_id=sid, prg=self._master.child("session", sid))
 
-    def run_session(self, transport, prompt, max_new: int, tap=None,
-                    _disable_masking: bool = False, _first_token_mark: dict | None = None) -> list[int]:
+    def run_session(self, transport, prompt, max_new: int, tap=None) -> list[int]:
         """Setup if needed, then the full per-token loop for one prompt.
 
-        `_disable_masking` is a test-only hook for negative controls: it
-        sends raw embeddings and must make the transcript audit fail.
-        `_first_token_mark`, when given, receives the monotonic clock
-        reading at which the first response token existed (TTFT probe).
+        Opens a provider session, feeds the prompt and decodes up to
+        `max_new` tokens with every weighted op masked, outsourced and
+        recovered, and closes the session even when decoding fails.
+        `tap`, when given, records each op's plaintext input next to the
+        masked matrix the provider saw.
         """
         if tap is not None and not self.tap_enabled:
             raise errors.TapUnavailable("this enclave was built without tap instrumentation")
@@ -548,48 +535,35 @@ class Enclave:
         ack = transport.request(OpenSession(session.session_id))
         if isinstance(ack, ErrorReply):
             raise errors.from_code(ack.code, ack.detail)
-        weighted = _MaskedWeightedOps(self, transport, session, tap, _disable_masking)
-        engine = DecoderEngine(self.params, weighted)
-        on_token = None
-        if _first_token_mark is not None:
-            def on_token(_tok: int) -> None:
-                _first_token_mark.setdefault("first_token", time.monotonic())
+        engine = DecoderEngine(self.params, _MaskedWeightedOps(self, transport, session, tap))
         try:
-            prompt = [int(t) for t in prompt]
-            session.tokens_fed = list(prompt)
-            response = engine.generate(prompt, max_new, on_token=on_token)
-            session.tokens_fed.extend(response[:-1])
-            session.response = response
+            return engine.generate(prompt, max_new)
         finally:
             try:
                 transport.request(CloseSession(session.session_id))
             except TransportClosed:
                 pass
-        return response
 
 
 class _MaskedWeightedOps:
     """Weighted-op evaluator that masks, outsources and recovers."""
 
-    def __init__(self, enclave: Enclave, transport, session: Session, tap, disable_masking: bool):
+    def __init__(self, enclave: Enclave, transport, session: Session, tap):
         self.enclave = enclave
         self.transport = transport
         self.session = session
         self.tap = tap
-        self.disable_masking = disable_masking
-        self.masks: StepMasks | None = None
+        self.step = -1
+        self.sent: set[str] = set()  # ops outsourced in self.step
 
     def __call__(self, op_id: str, x: RingMatrix, step: int) -> RingMatrix:
         base = self.enclave.bases[op_id]
-        if self.masks is None or self.masks.step != step:
-            self.masks = StepMasks(step=step, per_op={})  # previous step's masks drop here
-        if op_id in self.masks.per_op:
+        if step != self.step:
+            self.step, self.sent = step, set()
+        if op_id in self.sent:
             raise ProtocolError(f"{op_id!r} outsourced twice in step {step}")
-        if self.disable_masking:
-            m_pvt = zeros(x.rows, base.m, x.params)
-        else:
-            m_pvt = derive_step_mask(self.session.prg, step, op_id, x.rows, base.m, x.params)
-        self.masks.per_op[op_id] = m_pvt
+        self.sent.add(op_id)
+        m_pvt = derive_step_mask(self.session.prg, step, op_id, x.rows, base.m, x.params)
         masked = mask_embedding(x, m_pvt, base.public_base)
         if self.tap is not None:
             self.tap.record(step, op_id, x, masked)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
+from .errors import BadParams, DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
 
 MATRIX_MAGIC = b"RMX1"
 _MATRIX_HEADER = struct.Struct("<IIBB")  # rows, cols, k, f
@@ -62,10 +62,6 @@ class QuantParams:
     def max_abs(self) -> float:
         """Strict upper bound on |x| accepted by quantize."""
         return float(1 << (self.k - self.f - 1))
-
-
-class BadParams(ValueError):
-    pass
 
 
 def _as_canonical(data: np.ndarray, params: QuantParams) -> np.ndarray:

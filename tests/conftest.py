@@ -11,7 +11,7 @@ from remo.protocol import (
     PoolReply,
     SetupBase,
 )
-from remo.ring import QuantParams, RingMatrix
+from remo.ring import QuantParams, RingMatrix, zeros
 
 
 def random_message(rng: np.random.Generator):
@@ -39,6 +39,12 @@ def random_message(rng: np.random.Generator):
     if kind == 5:
         return CloseSession(sid)
     return ErrorReply("ShapeMismatch", "x" * int(rng.integers(0, 40)))
+
+
+def zero_step_mask(prg, step, op_id, n, m, params) -> RingMatrix:
+    """Stand-in for `derive_step_mask` in negative controls: an all-zero
+    private mixing matrix, so the raw embeddings go on the wire."""
+    return zeros(n, m, params)
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,18 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
-from conftest import random_message
+from conftest import random_message, zero_step_mask
 
+import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
-from remo.errors import ShapeMismatch, SketchReissue, TransportClosed
+from remo.errors import ProtocolError, ShapeMismatch, SketchReissue, TransportClosed
 from remo.model import reference_generate
 from remo.protocol import (
+    CloseSession,
     Enclave,
     ErrorReply,
     InProcTransport,
@@ -39,8 +42,6 @@ P = QuantParams()
 
 
 def test_close_session_round_trip():
-    from remo.protocol import CloseSession
-
     msg = CloseSession(12345)
     assert decode_message(encode_message(msg)) == msg
 
@@ -117,13 +118,9 @@ def test_matmul_bad_shape(toy_world):
 
 
 def test_open_close_acks(toy_world):
-    from remo.protocol import CloseSession
-
     _, provider, _, _, _ = toy_world
     assert provider.handle(OpenSession(9)) == OpenSession(9)
-    assert 9 in provider.session_steps
     assert provider.handle(CloseSession(9)) == CloseSession(9)
-    assert 9 not in provider.session_steps
 
 
 # --- enclave sessions ----------------------------------------------------------------
@@ -150,6 +147,25 @@ def test_second_enclave_against_same_provider_refused(toy_weights, toy_world):
     enclave2 = Enclave(toy_weights.enclave_view(), master_seed=100)
     with pytest.raises(SketchReissue):
         enclave2.setup(transport)
+    # same seed, byte-identical bases: still refused, since its sessions would
+    # reuse enclave1's private masks
+    with pytest.raises(SketchReissue):
+        Enclave(toy_weights.enclave_view(), master_seed=99).setup(transport)
+
+
+def test_same_op_twice_in_one_step_refused(toy_world):
+    from remo.protocol import Session, _MaskedWeightedOps
+    from remo.prg import PrgKey
+
+    _, _, enclave, transport, _ = toy_world
+    enclave.setup(transport)
+    weighted = _MaskedWeightedOps(enclave, transport, Session(1, PrgKey.from_int(1)), None)
+    x = RingMatrix.from_ints([[1] * 32], P)
+    weighted("l0.wq", x, 0)
+    weighted("l0.wk", x, 0)
+    with pytest.raises(ProtocolError, match="twice in step 0"):
+        weighted("l0.wq", x, 0)
+    weighted("l0.wq", x, 1)  # a new step starts a fresh set
 
 
 def test_wrong_shape_reply_aborts_session(toy_weights):
@@ -254,6 +270,51 @@ def test_tcp_unreachable_host():
         TcpTransport("127.0.0.1", 1, timeout=0.5)
 
 
+def test_tcp_timeout_closes_instead_of_desyncing():
+    # a server that answers each request late, echoing its session id
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def slow_server() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            try:
+                while True:
+                    msg = decode_message(remo.protocol.read_frame(conn))
+                    time.sleep(0.5)
+                    conn.sendall(encode_message(OpenSession(msg.session)))
+            except (TransportClosed, OSError):  # the client hung up
+                pass
+
+    server = threading.Thread(target=slow_server, daemon=True)
+    server.start()
+    try:
+        transport = TcpTransport(*listener.getsockname(), timeout=0.2)
+        with pytest.raises(TransportClosed):
+            transport.request(OpenSession(111))
+        time.sleep(0.6)  # the late reply to 111 has arrived by now
+        with pytest.raises(TransportClosed):
+            transport.request(OpenSession(222))
+        transport.close()
+    finally:
+        listener.close()
+        server.join(timeout=5.0)
+    assert not server.is_alive()
+
+
+def test_server_prunes_finished_connection_threads(toy_weights):
+    server = ProviderServer(ProviderState(toy_weights.provider_view(), P), port=0)
+    try:
+        for _ in range(50):
+            TcpTransport(*server.address).close()
+        time.sleep(0.3)
+        TcpTransport(*server.address).close()
+        time.sleep(0.3)
+        assert len(server._threads) <= 5
+    finally:
+        server.shutdown()
+
+
 # --- transcript + audit ----------------------------------------------------------------
 
 
@@ -265,11 +326,12 @@ def test_honest_transcript_passes_audit(toy_world):
     assert report.passed, {k: v.detail for k, v in report.clauses.items()}
 
 
-def test_no_masking_fails_uniformity(toy_world):
+def test_no_masking_fails_uniformity(toy_world, monkeypatch):
     _, provider, enclave, transport, transcript = toy_world
+    monkeypatch.setattr(remo.protocol, "derive_step_mask", zero_step_mask)
     rng = np.random.default_rng(3)
     for _ in range(16):
-        enclave.run_session(transport, rng.integers(0, 64, 5).tolist(), 4, _disable_masking=True)
+        enclave.run_session(transport, rng.integers(0, 64, 5).tolist(), 4)
     report = audit_transcript(transcript)
     assert not report.clauses["uniformity"].ok
     with pytest.raises(errors.AuditFail):
@@ -303,7 +365,7 @@ def test_role_separation_is_structural(toy_world):
     # provider state carries weights and bookkeeping only; the enclave side
     # never holds anything equal to a weight matrix
     weights, provider, enclave, transport, _ = toy_world
-    assert set(vars(provider)) == {"ops", "params", "transcript", "issued", "session_steps", "_lock"}
+    assert set(vars(provider)) == {"ops", "params", "transcript", "issued", "_lock"}
     enclave.run_session(transport, [1, 2, 3], 2)
     all_w = list(weights.provider_view().values())
     for base in enclave.bases.values():
