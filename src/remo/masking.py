@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadDims, ShapeMismatch, SketchReissue
 from .prg import PrgKey
 from .ring import QuantParams, RingMatrix, ring_add, ring_matmul, ring_sub
@@ -60,13 +62,12 @@ def _gf2_row_rank(rows: list[int]) -> int:
 
 def _full_row_rank(matrix: RingMatrix) -> bool:
     # full rank of the low bits over GF(2) implies full row rank over the
-    # rationals (some m x m minor has odd determinant) and over the ring
-    rows = []
-    for r in matrix.data:
-        bits = 0
-        for v in r:
-            bits = (bits << 1) | (int(v) & 1)
-        rows.append(bits)
+    # rationals (some m x m minor has odd determinant) and over the ring.
+    # Each row's low bits become one int, first column most significant;
+    # packbits pads a row to whole bytes with zero low bits, which shifts
+    # every row alike and so keeps the rank.
+    packed = np.packbits((matrix.data & np.uint64(1)).astype(np.uint8), axis=1)
+    rows = [int.from_bytes(row.tobytes(), "big") for row in packed]
     return _gf2_row_rank(rows) == matrix.rows
 
 

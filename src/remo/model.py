@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadDims,
     CacheInconsistent,
     DecodeError,
     EmptyInput,
@@ -368,6 +369,8 @@ class DecoderEngine:
         prompt = [int(t) for t in prompt]
         if not prompt:
             raise EmptyInput("prompt must be nonempty")
+        if max_new < 0:
+            raise BadDims(f"max_new must be >= 0, got {max_new}")
         if max_new == 0:
             return []
         if len(prompt) >= self.cfg.max_seq:

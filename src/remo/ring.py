@@ -194,6 +194,19 @@ def ring_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix(out, a.params)
 
 
+# Products with at least this many multiply-adds (rows * inner * cols) use
+# einsum.  Integers have no BLAS, so numpy's uint64 `a @ b` is a naive loop
+# whose inner loop walks a column of b, one stride of b.cols elements per
+# step; einsum's sum-of-products loop reads rows of b contiguously.  Measured
+# on a 2-core x86 VM with numpy 2.4: 1x512@512x1024 takes 1642 us with
+# `a @ b` and 393 us with einsum, 128x256@256x1024 91 ms and 26 ms.  Below
+# the crossover einsum's fixed cost loses: 4x32@32x32 (4096) 5.9 vs 8.9 us,
+# 4x32@32x64 (8192) 12.5 vs 10.9 us.  Both kernels accumulate in uint64,
+# and a wrapped sum is the same mod 2^64 in any order, so they agree bit
+# for bit.
+_EINSUM_MIN_MACS = 8192
+
+
 def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Exact integer matrix product mod 2^k.
 
@@ -204,7 +217,10 @@ def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     _check_pair(a, b, same_shape=False)
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dims differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    if a.rows * a.cols * b.cols >= _EINSUM_MIN_MACS:
+        out = np.einsum("ik,kj->ij", a.data, b.data)
+    else:
+        out = a.data @ b.data
     if a.params.k < 64:
         out = out & np.uint64(a.params.mask)
     return RingMatrix(out, a.params)

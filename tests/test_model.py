@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from remo.errors import (
+    BadDims,
     CacheInconsistent,
     EmptyInput,
     LengthMismatch,
@@ -175,6 +176,11 @@ def test_decode_step_deterministic(toy_weights):
 
 def test_generate_max_new_zero(toy_weights):
     assert make_engine(toy_weights).generate([1, 2, 3], max_new=0) == []
+
+
+def test_generate_negative_max_new(toy_weights):
+    with pytest.raises(BadDims):
+        reference_generate(toy_weights, [3, 4, 5], -1)
 
 
 def test_generate_empty_prompt(toy_weights):

@@ -1,13 +1,22 @@
 """PRG determinism/uniformity and the hybrid masking contracts."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from remo import Enclave, InProcTransport, ModelConfig, ProviderState, init_weights
 from remo.errors import BadDims, ShapeMismatch, SketchReissue
-from remo.masking import MaskIssuer, derive_step_mask, mask_embedding, recover
+from remo.masking import (
+    MaskIssuer,
+    _full_row_rank,
+    _gf2_row_rank,
+    derive_step_mask,
+    mask_embedding,
+    recover,
+)
 from remo.prg import PrgKey
 from remo.ring import QuantParams, RingMatrix, ring_matmul, zeros
 
@@ -106,6 +115,72 @@ def test_gen_public_base_rank_at_larger_shapes():
     for op, (m, d) in {"a": (16, 32), "b": (32, 64)}.items():
         base = issuer.gen_public_base(op, m=m, d=d)
         assert rational_row_rank(base.public_base) == m
+
+
+def bitwise_full_row_rank(matrix: RingMatrix) -> bool:
+    """The rank check with rows packed one element at a time."""
+    rows = []
+    for r in matrix.data:
+        bits = 0
+        for v in r:
+            bits = (bits << 1) | (int(v) & 1)
+        rows.append(bits)
+    return _gf2_row_rank(rows) == matrix.rows
+
+
+def test_full_row_rank_matches_bitwise_packing():
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for _ in range(300):
+        d = int(rng.integers(1, 40))
+        m = max(1, d + int(rng.integers(-2, 2)))
+        matrix = RingMatrix(rng.integers(0, 2**64, (m, d), dtype=np.uint64), P)
+        verdicts.append(_full_row_rank(matrix))
+        assert verdicts[-1] == bitwise_full_row_rank(matrix)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("d", [7, 8, 36, 1024])
+def test_full_row_rank_rejects_deficient_rows(d):
+    rng = np.random.default_rng(d)
+    data = rng.integers(0, 2**64, (max(2, d // 2), d), dtype=np.uint64)
+    assert _full_row_rank(RingMatrix(data, P)) == bitwise_full_row_rank(RingMatrix(data, P))
+    repeated = data.copy()
+    repeated[-1] = repeated[0]
+    all_even = data.copy()
+    all_even[1] &= np.uint64(2**64 - 2)
+    for matrix in (RingMatrix(repeated, P), RingMatrix(all_even, P)):
+        assert not _full_row_rank(matrix)
+        assert not bitwise_full_row_rank(matrix)
+
+
+# sha256 of the public bases and of the pools, in op order, as the one-
+# element-at-a-time rank packing issued them.
+_PINNED_SETUP = {
+    "toy": (
+        ModelConfig(), 1234, 99,
+        "385e564fc7f0548367a28efee69fa11c8ad76af3043abea17e05027b24110b88",
+        "fd27a4c1e55ecfc57aba7c30df751ccaa33bca4f099e40c091e093f515f81790",
+    ),
+    "odd-width": (
+        ModelConfig(vocab=40, d=36, heads=4, d_ff=44), 7, 5,
+        "42916473a4f4bb3e1b0305368da07d65f11dfe3518a0b63134515c8e639af5dc",
+        "0c755721da02f465ef8b211ac18643d87e144d2e12b46025d7f04aaf4e26737a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SETUP))
+def test_setup_bases_and_pools_pinned(name):
+    cfg, weight_seed, enclave_seed, bases_sha, pools_sha = _PINNED_SETUP[name]
+    weights = init_weights(cfg, seed=weight_seed)
+    enclave = Enclave(weights.enclave_view(), master_seed=enclave_seed)
+    enclave.setup(InProcTransport(ProviderState(weights.provider_view(), cfg.params)))
+    bases, pools = hashlib.sha256(), hashlib.sha256()
+    for op_id in cfg.op_ids():
+        bases.update(enclave.bases[op_id].public_base.data.tobytes())
+        pools.update(enclave.bases[op_id].pool.data.tobytes())
+    assert (bases.hexdigest(), pools.hexdigest()) == (bases_sha, pools_sha)
 
 
 # --- pool install ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from conftest import random_message, zero_step_mask
 import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
 from remo.errors import ProtocolError, ShapeMismatch, SketchReissue, TransportClosed
-from remo.model import reference_generate
+from remo.model import ModelConfig, init_weights, reference_generate
 from remo.protocol import (
     CloseSession,
     Enclave,
@@ -138,6 +138,30 @@ def test_session_reuses_pools_for_second_prompt(toy_world):
     b = enclave.run_session(transport, [4, 5, 6], 4)
     assert a == reference_generate(weights, [1, 2, 3], 4)
     assert b == reference_generate(weights, [4, 5, 6], 4)
+
+
+def test_session_negative_max_new_sends_no_matmul(toy_world):
+    _, _, enclave, transport, transcript = toy_world
+    with pytest.raises(errors.BadDims):
+        enclave.run_session(transport, [3, 4, 5], -1)
+    assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
+
+
+# reference_generate tokens of a d=256 model, computed when every ring
+# product went through numpy's `a @ b`.  Comparing a session against
+# reference_generate alone cannot catch a ring_matmul fault, since both
+# run their products through ring_matmul.
+WIDE_CFG = ModelConfig(vocab=256, d=256, layers=2, heads=8, d_ff=1024)
+WIDE_PROMPT = list(range(1, 17))
+WIDE_GOLDEN = [186, 110, 83, 94, 161, 158, 62, 141]
+
+
+def test_wide_model_golden_tokens():
+    weights = init_weights(WIDE_CFG, seed=1234)
+    assert reference_generate(weights, WIDE_PROMPT, 8) == WIDE_GOLDEN
+    provider = ProviderState(weights.provider_view(), WIDE_CFG.params)
+    enclave = Enclave(weights.enclave_view(), master_seed=7)
+    assert enclave.run_session(InProcTransport(provider), WIDE_PROMPT, 8) == WIDE_GOLDEN
 
 
 def test_second_enclave_against_same_provider_refused(toy_weights, toy_world):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from remo.errors import DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
 from remo.ring import (
+    _EINSUM_MIN_MACS,
     QuantParams,
     RingMatrix,
     decode_matrix,
@@ -212,6 +213,43 @@ def test_matmul_inner_dim_mismatch():
 def test_matmul_oracle_property(a_ints, b_ints):
     got = ring_matmul(RingMatrix.from_ints(a_ints, P64), RingMatrix.from_ints(b_ints, P64))
     assert got.to_ints() == slow_matmul(a_ints, b_ints, 64)
+
+
+def full_range(rng: np.random.Generator, shape, bits: int, fill: str) -> np.ndarray:
+    """Ring elements for k=bits: uniform over [0, 2^bits), or all 2^bits - 1."""
+    top = np.uint64((1 << bits) - 1)
+    if fill == "max":
+        return np.full(shape, top, dtype=np.uint64)
+    return rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
+
+
+# Shapes on each side of ring_matmul's kernel crossover.
+_SMALL_DIMS = dict(n=st.integers(1, 4), inner=st.integers(1, 32), cols=st.integers(1, 32))
+_LARGE_DIMS = dict(n=st.integers(1, 8), inner=st.integers(64, 96), cols=st.integers(128, 160))
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["below-crossover", "above-crossover"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_matmul_kernels_match_slow_oracle(large, data):
+    dims = _LARGE_DIMS if large else _SMALL_DIMS
+    n, inner, cols = (data.draw(dims[name], label=name) for name in ("n", "inner", "cols"))
+    assert (n * inner * cols >= _EINSUM_MIN_MACS) == large
+    bits = data.draw(st.one_of(st.just(64), st.integers(2, 63)), label="k")
+    fill = data.draw(st.sampled_from(["uniform", "max"]), label="fill")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p = QuantParams(k=bits, f=1)
+    a = RingMatrix(full_range(rng, (n, inner), bits, fill), p)
+    b = RingMatrix(full_range(rng, (inner, cols), bits, fill), p)
+    assert ring_matmul(a, b).to_ints() == slow_matmul(a.to_ints(), b.to_ints(), bits)
+
+
+@pytest.mark.parametrize("n,inner,cols", [(1, 512, 1024), (16, 256, 256)])
+def test_matmul_wide_shapes_match_numpy_matmul(n, inner, cols):
+    rng = np.random.default_rng(n)
+    a = RingMatrix(full_range(rng, (n, inner), 64, "uniform"), P64)
+    b = RingMatrix(full_range(rng, (inner, cols), 64, "uniform"), P64)
+    assert np.array_equal(ring_matmul(a, b).data, a.data @ b.data)
 
 
 # --- rescale ----------------------------------------------------------------------
