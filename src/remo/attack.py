@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClass, LengthMismatch, TapUnavailable
+from .errors import EmptyClass, LengthMismatch, TapUnavailable, UnknownOp
 from .ring import RingMatrix, dequantize
 
 
@@ -75,6 +75,8 @@ def collect_views(enclave, transport, prompts: list[list[int]], op_id: str, max_
     """
     if not getattr(enclave, "tap_enabled", False):
         raise TapUnavailable("this enclave was built without tap instrumentation")
+    if op_id not in enclave.cfg.op_ids():
+        raise UnknownOp(f"no weighted op {op_id!r}; the model has {enclave.cfg.op_ids()}")
     raw, masked, labels, is_prompt, prompt_idx = [], [], [], [], []
     for pi, prompt in enumerate(prompts):
         tap = SessionTap(op_id)

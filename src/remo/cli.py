@@ -78,7 +78,7 @@ class RunConfig:
     attack_prompts: int = 1000
     attack_prompt_len: int = 48
     attack_max_new: int = 8
-    attack_op: str = "l0.wq"
+    attack_op: str = "l0.wqkv"
     # privacy experiments
     lambda_ratios: tuple = (0.0, 0.1, 0.5, 1.0, 2.0)
     game_trials: int = 1_000_000

@@ -1,11 +1,13 @@
 """Toy decoder-only transformer split into weighted and structural halves.
 
-Linear projections (Q/K/V/O, MLP up/down, output head) are "weighted"
-ops: they multiply by provider-held weight matrices and are the only
-computations that leave the enclave.  Everything else (RMSNorm,
-attention scores/softmax, SiLU, residuals, greedy sampling) is
-"structural": computed on dequantized reals inside the enclave and
-re-quantized at the boundary.
+Linear projections are "weighted" ops: they multiply by provider-held
+weight matrices and are the only computations that leave the enclave.
+Each layer has four (the fused QKV projection by the d x 3d matrix
+[Wq|Wk|Wv], since Q, K and V read the same normed row; the attention
+output; MLP up and down), and the output head is one more.  Everything
+else (RMSNorm, attention scores/softmax, SiLU, residuals, greedy
+sampling) is "structural": computed on dequantized reals inside the
+enclave and re-quantized at the boundary.
 
 The same DecoderEngine drives both the partitioned pipeline and the
 single-party reference pipeline; they differ only in the callable that
@@ -46,7 +48,7 @@ RMS_EPS = 1e-6
 WEIGHTS_MAGIC = b"RMW1"
 _WEIGHTS_HEADER = struct.Struct("<9I")  # vocab, d, layers, heads, d_ff, max_seq, eos, k, f
 
-_LAYER_OPS = ("wq", "wk", "wv", "wo", "wup", "wdown")
+_LAYER_OPS = ("wqkv", "wo", "wup", "wdown")
 HEAD_OP = "head"
 
 
@@ -85,6 +87,8 @@ class ModelConfig:
         if op_id == HEAD_OP:
             return self.d, self.vocab
         name = op_id.split(".", 1)[-1]
+        if name == "wqkv":
+            return self.d, 3 * self.d
         if name == "wup":
             return self.d, self.d_ff
         if name == "wdown":
@@ -121,7 +125,10 @@ class ModelWeights:
         if op_id == HEAD_OP:
             return self.head
         layer, name = op_id.split(".", 1)
-        return getattr(self.layers[int(layer[1:])], name)
+        lw = self.layers[int(layer[1:])]
+        if name == "wqkv":
+            return RingMatrix(np.hstack([lw.wq.data, lw.wk.data, lw.wv.data]), lw.wq.params)
+        return getattr(lw, name)
 
     def provider_view(self) -> dict[str, RingMatrix]:
         """The weight matrices the provider applies to masked inputs."""
@@ -345,9 +352,10 @@ class DecoderEngine:
         h = embed([token], self.p.embedding)
         for i in range(self.cfg.layers):
             xn = rms_norm(h, self.p.attn_gains[i])
-            q = self._project(f"l{i}.wq", xn)
-            k = self._project(f"l{i}.wk", xn)
-            v = self._project(f"l{i}.wv", xn)
+            q, k, v = (
+                RingMatrix(part, xn.params)
+                for part in np.split(self._project(f"l{i}.wqkv", xn).data, 3, axis=1)
+            )
             self.cache.append(i, k, v)
             keys, values = self.cache.view(i)
             attn = attention_structural(q, keys, values, self.cfg.heads, self.pos)
@@ -369,6 +377,8 @@ class DecoderEngine:
         prompt = [int(t) for t in prompt]
         if not prompt:
             raise EmptyInput("prompt must be nonempty")
+        if isinstance(max_new, bool) or not isinstance(max_new, (int, np.integer)):
+            raise BadDims(f"max_new must be an int, got {max_new!r}")
         if max_new < 0:
             raise BadDims(f"max_new must be >= 0, got {max_new}")
         if max_new == 0:

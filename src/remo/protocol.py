@@ -615,6 +615,13 @@ class AuditReport:
                 raise AuditFail(f"audit clause {name!r} violated: {clause.detail}")
 
 
+def _chi_square(values: np.ndarray, bins: int) -> float:
+    """Pearson statistic of values in [0, bins) against the uniform law."""
+    counts = np.bincount(values.astype(np.int64), minlength=bins)
+    expected = values.size / bins
+    return float(np.sum((counts - expected) ** 2) / expected)
+
+
 def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport:
     """Check a provider-view log: schema, directions, mask uniformity, freshness."""
     clauses: dict[str, ClauseResult] = {}
@@ -644,20 +651,26 @@ def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport
         if e.direction == TO_PROVIDER and isinstance(e.message, MatMulRequest)
     ]
 
-    residues = np.concatenate(
-        [(m.masked.data & np.uint64(0xFF)).ravel() for m in requests]
-    ) if requests else np.empty(0, dtype=np.uint64)
-    if residues.size < _UNIFORMITY_MIN_SAMPLES:
+    n_samples = sum(m.masked.data.size for m in requests)
+    if n_samples < _UNIFORMITY_MIN_SAMPLES:
         clauses["uniformity"] = ClauseResult(
-            True, f"skipped: only {residues.size} samples (< {_UNIFORMITY_MIN_SAMPLES})"
+            True, f"skipped: only {n_samples} samples (< {_UNIFORMITY_MIN_SAMPLES})"
         )
     else:
-        counts = np.bincount(residues.astype(np.int64), minlength=256)
-        expected = residues.size / 256.0
-        stat = float(np.sum((counts - expected) ** 2) / expected)
-        crit = float(chi2.ppf(1.0 - alpha, 255))
+        # Low byte and top byte of each k-bit element (all k bits when k < 8).
+        # Fixed-point values at scale f have a near-uniform low byte even
+        # unmasked; their top byte is almost always all zeros or all ones.
+        k = requests[0].masked.params.k
+        bits = min(k, 8)
+        data = np.concatenate([m.masked.data.ravel() for m in requests])
+        low = data & np.uint64((1 << bits) - 1)
+        top = data >> np.uint64(k - bits)
+        stat_low, stat_top = (_chi_square(v, 1 << bits) for v in (low, top))
+        crit = float(chi2.ppf(1.0 - alpha, (1 << bits) - 1))
         clauses["uniformity"] = ClauseResult(
-            stat <= crit, f"chi-square {stat:.1f} vs critical {crit:.1f} at alpha={alpha}"
+            max(stat_low, stat_top) <= crit,
+            f"chi-square low byte {stat_low:.1f}, top byte {stat_top:.1f} "
+            f"vs critical {crit:.1f} at alpha={alpha}",
         )
 
     seen: dict[bytes, int] = {}

@@ -16,7 +16,7 @@ from remo.attack import (
     tra,
     train_centroids,
 )
-from remo.errors import EmptyClass, LengthMismatch, TapUnavailable
+from remo.errors import EmptyClass, LengthMismatch, TapUnavailable, UnknownOp
 from remo.model import rms_norm
 from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState
 from remo.ring import QuantParams, dequantize, quantize
@@ -58,7 +58,7 @@ def test_collect_views_labels_and_taps(toy_weights):
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     transport = InProcTransport(transcript_provider)
     prompts = make_corpus(4, 6, 64, seed=9)
-    views = collect_views(enclave, transport, prompts, "l0.wq", max_new=3)
+    views = collect_views(enclave, transport, prompts, "l0.wqkv", max_new=3)
     assert views.raw_rows.shape == views.masked_rows.shape
     assert len(views) == len(views.labels) == len(views.is_prompt)
     # every prompt contributes its prompt positions plus the fed-back response
@@ -80,22 +80,34 @@ def test_collect_views_masked_rows_match_wire(toy_weights):
     provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     prompts = make_corpus(2, 5, 64, seed=10)
-    views = collect_views(enclave, InProcTransport(provider), prompts, "l0.wq", max_new=2)
+    views = collect_views(enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=2)
     wire_rows = [
         dequantize(e.message.masked)[0]
         for e in transcript.entries
-        if isinstance(e.message, MatMulRequest) and e.message.op_id == "l0.wq"
+        if isinstance(e.message, MatMulRequest) and e.message.op_id == "l0.wqkv"
     ]
     assert len(wire_rows) == len(views)
     for got, want in zip(views.masked_rows, wire_rows):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("op_id", ["l0.wq", "l9.wqkv", "nope"])
+def test_collect_views_unknown_op_fails_before_any_session(toy_weights, op_id):
+    from remo.protocol import Transcript
+
+    transcript = Transcript()
+    provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
+    with pytest.raises(UnknownOp, match=op_id):
+        collect_views(enclave, InProcTransport(provider), [[1, 2, 3]], op_id, max_new=2)
+    assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
+
+
 def test_collect_views_requires_instrumentation(toy_weights):
     provider = ProviderState(toy_weights.provider_view(), P)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5, tap_enabled=False)
     with pytest.raises(TapUnavailable):
-        collect_views(enclave, InProcTransport(provider), [[1, 2]], "l0.wq", max_new=1)
+        collect_views(enclave, InProcTransport(provider), [[1, 2]], "l0.wqkv", max_new=1)
 
 
 # --- centroids -----------------------------------------------------------------
@@ -199,7 +211,7 @@ def small_views(toy_weights):
     provider = ProviderState(toy_weights.provider_view(), P)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=21)
     prompts = make_corpus(60, 10, 64, seed=11)
-    return collect_views(enclave, InProcTransport(provider), prompts, "l0.wq", max_new=4)
+    return collect_views(enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=4)
 
 
 def test_splits_disjoint_and_sized(small_views):
@@ -228,7 +240,7 @@ def test_attack_eval_contrast(small_views, toy_weights):
     assert masked_tra <= 0.2
     # rows differ only in the masked flag metadata, not in bookkeeping
     taps = {r.tap for r in report.rows}
-    assert taps == {"l0.wq/prompt", "l0.wq/response"}
+    assert taps == {"l0.wqkv/prompt", "l0.wqkv/response"}
 
 
 def test_attack_report_csv(tmp_path, small_views, toy_weights):

@@ -184,7 +184,7 @@ def test_privacy_small_model(tmp_path):
     cfg_path = write(tmp_path, "\n".join([
         "vocab = 8", "d = 8", "layers = 1", "heads = 2", "d_ff = 8", "max_seq = 32",
         "game_trials = 20000", "consistent_count = 4",
-        "attack_op = l0.wq",
+        "attack_op = l0.wqkv",
     ]))
     code = main(["privacy", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert code == 0

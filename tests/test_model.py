@@ -183,6 +183,12 @@ def test_generate_negative_max_new(toy_weights):
         reference_generate(toy_weights, [3, 4, 5], -1)
 
 
+@pytest.mark.parametrize("max_new", [2.5, True, False, "3", None])
+def test_generate_non_int_max_new(toy_weights, max_new):
+    with pytest.raises(BadDims):
+        reference_generate(toy_weights, [3, 4, 5], max_new)
+
+
 def test_generate_empty_prompt(toy_weights):
     with pytest.raises(EmptyInput):
         make_engine(toy_weights).generate([], max_new=4)
@@ -222,6 +228,41 @@ def test_weight_permutation_changes_outputs(toy_weights):
         for p in prompts
     ]
     assert any(diffs)
+
+
+def test_wqkv_op_matrix_is_the_column_concatenation(toy_weights):
+    assert CFG.op_dims("l0.wqkv") == (CFG.d, 3 * CFG.d)
+    for i, layer in enumerate(toy_weights.layers):
+        fused = toy_weights.op_matrix(f"l{i}.wqkv")
+        assert fused.params == P
+        assert np.array_equal(fused.data, np.hstack([layer.wq.data, layer.wk.data, layer.wv.data]))
+
+
+class _RecordingOps(LocalWeightedOps):
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.inputs: list[tuple[int, str, bytes]] = []
+
+    def __call__(self, op_id, x, step):
+        self.inputs.append((step, op_id, x.data.tobytes()))
+        return super().__call__(op_id, x, step)
+
+
+def test_no_plaintext_row_outsourced_twice_in_a_step(toy_weights):
+    # Several masked copies of one row under independent bases let the
+    # provider solve for the row, so each step sends each distinct input once.
+    from remo.model import DecoderEngine
+
+    ops = _RecordingOps(toy_weights.provider_view())
+    engine = DecoderEngine(toy_weights.enclave_view(), ops)
+    engine.generate([3, 1, 4, 1, 5, 9], max_new=8)
+    by_step: dict[int, list[bytes]] = {}
+    for step, _, raw in ops.inputs:
+        by_step.setdefault(step, []).append(raw)
+    assert len(by_step) >= 6
+    for step, rows in by_step.items():
+        assert len(rows) == len(CFG.op_ids())
+        assert len(set(rows)) == len(rows), f"step {step} sends one input to several ops"
 
 
 # --- weight file -----------------------------------------------------------------------

@@ -154,33 +154,69 @@ def test_full_row_rank_rejects_deficient_rows(d):
         assert not bitwise_full_row_rank(matrix)
 
 
-# sha256 of the public bases and of the pools, in op order, as the one-
-# element-at-a-time rank packing issued them.
+# sha256 of the public bases and of the pools, in op order, of two op
+# groups.  Bases are drawn under their op id, so the ops that kept their id
+# when Q/K/V were fused (wo, wup, wdown, head) keep the digests the
+# one-element-at-a-time rank packing issued them; only the fused wqkv
+# group is pinned from the fused model.
+_KEPT_OPS = ("wo", "wup", "wdown", "head")
 _PINNED_SETUP = {
     "toy": (
         ModelConfig(), 1234, 99,
-        "385e564fc7f0548367a28efee69fa11c8ad76af3043abea17e05027b24110b88",
-        "fd27a4c1e55ecfc57aba7c30df751ccaa33bca4f099e40c091e093f515f81790",
+        {
+            "kept": (
+                "8e6c444039f27b387028daa8f79a3dd99c55fe019ec0c0c90a861f59de184ffe",
+                "84626925795f4ef017d5daec9d79dd088ce4716fb45982566d3d4133d63b0456",
+            ),
+            "wqkv": (
+                "537a8187e619abe9e5c65347964ec5ee4512689e52a56c50b17b2d3eb7a9543e",
+                "0f3c296cb5137b76871ee912bebbcbb9fcce358850b053112297f8cdb6353af8",
+            ),
+        },
     ),
     "odd-width": (
         ModelConfig(vocab=40, d=36, heads=4, d_ff=44), 7, 5,
-        "42916473a4f4bb3e1b0305368da07d65f11dfe3518a0b63134515c8e639af5dc",
-        "0c755721da02f465ef8b211ac18643d87e144d2e12b46025d7f04aaf4e26737a",
+        {
+            "kept": (
+                "ca7331b17b2978eb351e426210d210fbbce2e311757e6dfeff03fba0698771d7",
+                "bf9d657573c592a497a69983a0417117121b0d50004d45cb2534dca2fb68f3c3",
+            ),
+            "wqkv": (
+                "b3e52a4d2647d6a968de9b4f14d7c27d1d08c2990ceeb4e884729e13c38cd89e",
+                "fab51b8627dae7265a6c67905097d9f56459eb97a410c7d03fa3e1a9601cf463",
+            ),
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SETUP))
 def test_setup_bases_and_pools_pinned(name):
-    cfg, weight_seed, enclave_seed, bases_sha, pools_sha = _PINNED_SETUP[name]
+    cfg, weight_seed, enclave_seed, pinned = _PINNED_SETUP[name]
     weights = init_weights(cfg, seed=weight_seed)
     enclave = Enclave(weights.enclave_view(), master_seed=enclave_seed)
     enclave.setup(InProcTransport(ProviderState(weights.provider_view(), cfg.params)))
-    bases, pools = hashlib.sha256(), hashlib.sha256()
-    for op_id in cfg.op_ids():
-        bases.update(enclave.bases[op_id].public_base.data.tobytes())
-        pools.update(enclave.bases[op_id].pool.data.tobytes())
-    assert (bases.hexdigest(), pools.hexdigest()) == (bases_sha, pools_sha)
+    groups = {
+        "kept": [op for op in cfg.op_ids() if op.split(".")[-1] in _KEPT_OPS],
+        "wqkv": [op for op in cfg.op_ids() if op.endswith(".wqkv")],
+    }
+    assert sorted(groups["kept"] + groups["wqkv"]) == sorted(cfg.op_ids())
+    for group, ops in groups.items():
+        bases, pools = hashlib.sha256(), hashlib.sha256()
+        for op_id in ops:
+            bases.update(enclave.bases[op_id].public_base.data.tobytes())
+            pools.update(enclave.bases[op_id].pool.data.tobytes())
+        assert (bases.hexdigest(), pools.hexdigest()) == pinned[group], group
+
+
+def test_wqkv_pool_is_the_column_concatenation(toy_weights):
+    # the provider's fused pool is base@Wq | base@Wk | base@Wv
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=3)
+    enclave.setup(InProcTransport(ProviderState(toy_weights.provider_view(), P)))
+    for i, layer in enumerate(toy_weights.layers):
+        base = enclave.bases[f"l{i}.wqkv"]
+        parts = [ring_matmul(base.public_base, w).data for w in (layer.wq, layer.wk, layer.wv)]
+        assert np.array_equal(base.pool.data, np.concatenate(parts, axis=1))
 
 
 # --- pool install ---------------------------------------------------------------

@@ -77,19 +77,19 @@ def test_trailing_bytes_rejected():
 
 def test_setup_reply_shape_and_oracle(toy_world):
     weights, provider, enclave, transport, _ = toy_world
-    base = enclave._issuer.gen_public_base("l0.wq", 16, 32)
-    reply = provider.handle(SetupBase("l0.wq", base.public_base))
+    base = enclave._issuer.gen_public_base("l0.wqkv", 16, 32)
+    reply = provider.handle(SetupBase("l0.wqkv", base.public_base))
     assert isinstance(reply, PoolReply)
-    assert reply.pool.shape == (16, 32)
+    assert reply.pool.shape == (16, 96)
     # local oracle recomputation on the provider's own weight matrix
-    assert reply.pool == ring_matmul(base.public_base, weights.op_matrix("l0.wq"))
+    assert reply.pool == ring_matmul(base.public_base, weights.op_matrix("l0.wqkv"))
 
 
 def test_setup_reissue_refused(toy_world):
     _, provider, enclave, _, _ = toy_world
-    base = enclave._issuer.gen_public_base("l0.wq", 16, 32)
-    provider.handle(SetupBase("l0.wq", base.public_base))
-    second = provider.handle(SetupBase("l0.wq", base.public_base))
+    base = enclave._issuer.gen_public_base("l0.wqkv", 16, 32)
+    provider.handle(SetupBase("l0.wqkv", base.public_base))
+    second = provider.handle(SetupBase("l0.wqkv", base.public_base))
     assert isinstance(second, ErrorReply) and second.code == "SketchReissue"
 
 
@@ -97,10 +97,10 @@ def test_matmul_matches_local_oracle(toy_world):
     weights, provider, _, _, _ = toy_world
     rng = np.random.default_rng(1)
     x = RingMatrix.from_ints(rng.integers(0, 2**63, (1, 32)).tolist(), P)
-    reply = provider.handle(MatMulRequest(1, 0, "l0.wq", x))
+    reply = provider.handle(MatMulRequest(1, 0, "l0.wqkv", x))
     assert isinstance(reply, MatMulReply)
-    assert (reply.session, reply.step, reply.op_id) == (1, 0, "l0.wq")
-    assert reply.product == ring_matmul(x, weights.op_matrix("l0.wq"))
+    assert (reply.session, reply.step, reply.op_id) == (1, 0, "l0.wqkv")
+    assert reply.product == ring_matmul(x, weights.op_matrix("l0.wqkv"))
 
 
 def test_matmul_unknown_op(toy_world):
@@ -113,7 +113,7 @@ def test_matmul_unknown_op(toy_world):
 def test_matmul_bad_shape(toy_world):
     _, provider, _, _, _ = toy_world
     x = RingMatrix.from_ints([[1, 2, 3]], P)
-    reply = provider.handle(MatMulRequest(1, 0, "l0.wq", x))
+    reply = provider.handle(MatMulRequest(1, 0, "l0.wqkv", x))
     assert isinstance(reply, ErrorReply) and reply.code == "ShapeMismatch"
 
 
@@ -144,6 +144,14 @@ def test_session_negative_max_new_sends_no_matmul(toy_world):
     _, _, enclave, transport, transcript = toy_world
     with pytest.raises(errors.BadDims):
         enclave.run_session(transport, [3, 4, 5], -1)
+    assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
+
+
+@pytest.mark.parametrize("max_new", [2.5, True])
+def test_session_non_int_max_new_sends_no_matmul(toy_world, max_new):
+    _, _, enclave, transport, transcript = toy_world
+    with pytest.raises(errors.BadDims):
+        enclave.run_session(transport, [3, 4, 5], max_new)
     assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
 
 
@@ -185,11 +193,11 @@ def test_same_op_twice_in_one_step_refused(toy_world):
     enclave.setup(transport)
     weighted = _MaskedWeightedOps(enclave, transport, Session(1, PrgKey.from_int(1)), None)
     x = RingMatrix.from_ints([[1] * 32], P)
-    weighted("l0.wq", x, 0)
-    weighted("l0.wk", x, 0)
+    weighted("l0.wqkv", x, 0)
+    weighted("l0.wo", x, 0)
     with pytest.raises(ProtocolError, match="twice in step 0"):
-        weighted("l0.wq", x, 0)
-    weighted("l0.wq", x, 1)  # a new step starts a fresh set
+        weighted("l0.wqkv", x, 0)
+    weighted("l0.wqkv", x, 1)  # a new step starts a fresh set
 
 
 def test_wrong_shape_reply_aborts_session(toy_weights):
@@ -360,6 +368,26 @@ def test_no_masking_fails_uniformity(toy_world, monkeypatch):
     assert not report.clauses["uniformity"].ok
     with pytest.raises(errors.AuditFail):
         report.raise_if_failed()
+
+
+def test_one_raw_copy_per_step_fails_uniformity(toy_world, monkeypatch):
+    # the low byte of an unmasked fixed-point row looks uniform; its top
+    # byte does not, so one raw op in each step is enough to fail
+    _, provider, enclave, transport, transcript = toy_world
+    real = remo.protocol.derive_step_mask
+
+    def head_unmasked(prg, step, op_id, n, m, params):
+        if op_id == "head":
+            return zero_step_mask(prg, step, op_id, n, m, params)
+        return real(prg, step, op_id, n, m, params)
+
+    monkeypatch.setattr(remo.protocol, "derive_step_mask", head_unmasked)
+    rng = np.random.default_rng(3)
+    for _ in range(16):
+        enclave.run_session(transport, rng.integers(0, 64, 5).tolist(), 4)
+    clause = audit_transcript(transcript).clauses["uniformity"]
+    assert not clause.ok
+    assert "low byte" in clause.detail and "top byte" in clause.detail
 
 
 def test_duplicated_payload_fails_freshness(toy_world):
