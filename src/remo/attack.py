@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClass, LengthMismatch, TapUnavailable, UnknownOp
+from .errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
+from .model import DecoderEngine, LocalWeightedOps, ModelWeights
+from .protocol import MatMulRequest
 from .ring import RingMatrix, dequantize
 
 
@@ -39,16 +41,18 @@ def make_corpus(
     return [[int(t) for t in draw()] for _ in range(n_prompts)]
 
 
-class SessionTap:
-    """Test-only wire tap: keeps the pre-mask row and the row actually sent."""
+class _WireRecorder:
+    """Transport wrapper keeping the masked rows one op sends, as the provider receives them."""
 
-    def __init__(self, op_id: str):
+    def __init__(self, inner, op_id: str):
+        self.inner = inner
         self.op_id = op_id
-        self.rows: list[tuple[int, RingMatrix, RingMatrix]] = []
+        self.rows: list[tuple[int, RingMatrix]] = []
 
-    def record(self, step: int, op_id: str, raw: RingMatrix, masked: RingMatrix) -> None:
-        if op_id == self.op_id:
-            self.rows.append((step, raw, masked))
+    def request(self, msg):
+        if isinstance(msg, MatMulRequest) and msg.op_id == self.op_id:
+            self.rows.append((msg.step, msg.masked))
+        return self.inner.request(msg)
 
 
 @dataclass
@@ -66,23 +70,40 @@ class CollectedViews:
         return len(self.labels)
 
 
-def collect_views(enclave, transport, prompts: list[list[int]], op_id: str, max_new: int) -> CollectedViews:
-    """Run every prompt through the protocol with a tap on one weighted op.
+def collect_views(
+    weights: ModelWeights, enclave, transport, prompts: list[list[int]], op_id: str, max_new: int
+) -> CollectedViews:
+    """Run every prompt through the protocol and keep what crosses the wire for one op.
 
-    Labels each captured row with the token fed at that step; the raw
-    variant simulates an unprotected deployment, the masked variant is
-    what an eavesdropping provider actually sees.
+    Masked rows are the `MatMulRequest`s of `op_id` that the provider
+    receives.  Raw rows, the unprotected deployment's view, are the
+    inputs of `op_id` on a reference `DecoderEngine` over `weights`; each
+    row is labelled with the token fed at its step.  Raises ProtocolError
+    when a partitioned response differs from the reference one, because
+    its rows could not be aligned.
     """
-    if not getattr(enclave, "tap_enabled", False):
-        raise TapUnavailable("this enclave was built without tap instrumentation")
     if op_id not in enclave.cfg.op_ids():
         raise UnknownOp(f"no weighted op {op_id!r}; the model has {enclave.cfg.op_ids()}")
+    params = weights.enclave_view()
+    local = LocalWeightedOps(weights.provider_view())
     raw, masked, labels, is_prompt, prompt_idx = [], [], [], [], []
     for pi, prompt in enumerate(prompts):
-        tap = SessionTap(op_id)
-        response = enclave.run_session(transport, prompt, max_new, tap=tap)
+        wire = _WireRecorder(transport, op_id)
+        response = enclave.run_session(wire, prompt, max_new)
+        inputs: list[tuple[int, RingMatrix]] = []
+
+        def recording(op: str, x: RingMatrix, step: int) -> RingMatrix:
+            if op == op_id:
+                inputs.append((step, x))
+            return local(op, x, step)
+
+        reference = DecoderEngine(params, recording).generate(prompt, max_new)
+        if response != reference or [s for s, _ in wire.rows] != [s for s, _ in inputs]:
+            raise ProtocolError(
+                f"prompt {pi}: partitioned response {response} differs from reference {reference}"
+            )
         fed = list(prompt) + response[:-1]
-        for step, raw_m, masked_m in tap.rows:
+        for (step, raw_m), (_, masked_m) in zip(inputs, wire.rows):
             raw.append(dequantize(raw_m)[0])
             masked.append(dequantize(masked_m)[0])
             labels.append(fed[step])

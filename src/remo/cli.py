@@ -273,7 +273,9 @@ def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
     )
     transport = _open_transport(cfg, provider)
     try:
-        views = atk.collect_views(enclave, transport, prompts, cfg.attack_op, cfg.attack_max_new)
+        views = atk.collect_views(
+            weights, enclave, transport, prompts, cfg.attack_op, cfg.attack_max_new
+        )
     finally:
         transport.close()
     report = atk.run_attack_eval(views, weights.embedding, cfg.vocab, seed=cfg.seed_for("corpus"))
@@ -342,7 +344,7 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     base = enclave.bases[cfg.attack_op]
     _, candidates = pv.enumerate_consistent_weights(base.public_base, base.pool, cfg.consistent_count)
     residuals = [pv.residual_inf(base.public_base, w, base.pool) for w in candidates]
-    distinct = len({tuple(tuple(r) for r in w) for w in candidates}) == len(candidates)
+    distinct = len(set(candidates)) == len(candidates)
     consistent_ok = all(r <= 1e-9 for r in residuals) and distinct
     print(f"consistent weights: {len(candidates)} candidates, max residual={max(residuals):.2e}, "
           f"distinct={distinct} [{'pass' if consistent_ok else 'FAIL'}]")

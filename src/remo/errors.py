@@ -68,10 +68,6 @@ class AuditFail(RemoError):
     pass
 
 
-class TapUnavailable(RemoError):
-    pass
-
-
 class EmptyClass(RemoError):
     pass
 

@@ -9,6 +9,15 @@ the provider's contribution exactly via O_hat - M_pvt @ R_pub.
 
 The full mask M_pvt @ M_pub exists only transiently inside
 mask_embedding; the private mixing matrix never crosses the wire.
+
+Limit: the mask spans only the m-dimensional row space of M_pub, and the
+provider receives M_pub at setup.  For the ring kernel N of M_pub
+(`ring.ring_kernel`, d x (d - m), M_pub @ N == 0 mod 2^k) every masked
+row satisfies masked @ N == E @ N exactly, so d - m directions of each
+input reach the provider unmasked.  No choice of m closes this with one
+provider and exact recovery: the enclave must learn M @ W for every mask
+direction M it uses, so every input direction hidden from the provider
+is a direction of W exposed to the enclave.
 """
 
 from __future__ import annotations

@@ -11,28 +11,37 @@ Three independent verifications:
   per-coordinate overlap (with its multi-dimensional product form) plus
   a grid-integration cross-check in up to 3 dimensions.
 
-* Sketch algebra: exact rational rank/kernel of a public base (kernel
-  dimension d - m makes the weights non-identifiable from one sketch),
-  explicit enumeration of distinct consistent weight candidates, and a
+* Sketch algebra over Z_2^k, the ring the provider's replies live in:
+  rank and right kernel of a public base by odd-pivot elimination
+  (`ring.ring_kernel`; kernel dimension d - m makes the weights
+  non-identifiable from one sketch), explicit enumeration of distinct
+  ring weights W0 + N @ Z that reproduce the pool exactly, and a
   rule-violating stacking demo showing that independent extra sketches
   collapse the kernel and surrender the weights.
 
 Bound experiments run on real-valued uniform masks, matching the
-analysis they verify; sketch algebra runs exactly, over rationals for
-rank/kernel and in the ring for the stacking solve (provider replies
-are ring values, so wraparound is part of the observable).
+analysis they verify.  Sketch algebra is exact integer arithmetic mod
+2^k: pools are ring values, so wraparound is part of the observable,
+and a consistent candidate's residual is exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimTooLarge, TrivialKernel
+from .errors import BadDims, DimTooLarge, ProtocolError, TrivialKernel
 from .prg import PrgKey
-from .ring import QuantParams, RingMatrix, ring_matmul
+from .ring import (
+    QuantParams,
+    RingMatrix,
+    ring_add,
+    ring_kernel,
+    ring_matmul,
+    ring_solve,
+    ring_sub,
+)
 
 
 # --- theorem bound and exact TV ------------------------------------------------
@@ -155,137 +164,57 @@ def run_distinguishing_game(cfg: GameConfig, chunk: int = 200_000) -> BoundRepor
     )
 
 
-# --- exact rational sketch algebra ----------------------------------------------
-
-
-def _exact_entries(m: RingMatrix, extra_scale: int = 0) -> list[list[Fraction]]:
-    """Dequantize to exact rationals: signed(v) / 2^(f + extra_scale)."""
-    den = 1 << (m.params.f + extra_scale)
-    signed = m.signed()
-    return [[Fraction(int(v), den) for v in row] for row in signed]
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
-def _kernel_basis(rref: list[list[Fraction]], pivots: list[int], n_cols: int) -> list[list[Fraction]]:
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][fc]
-        basis.append(vec)
-    return basis
+# --- sketch algebra over the ring -------------------------------------------------
 
 
 @dataclass
 class SolutionSpace:
-    """Everything a curious client can pin down from one sketch."""
+    """Everything a curious client can pin down from one sketch, over Z_2^k."""
 
-    m_pub: RingMatrix
-    r_pub: RingMatrix | None
     rank: int
-    kernel: list[list[Fraction]]
-    particular: list[list[Fraction]] | None = None  # d x d_out, exact
+    kernel: RingMatrix  # d x (d - rank), M_pub @ kernel == 0
+    particular: RingMatrix | None = None  # d x d_out, M_pub @ particular == R_pub
 
     @property
     def kernel_dim(self) -> int:
-        return len(self.kernel)
+        return self.kernel.cols
 
 
 def kernel_analysis(m_pub: RingMatrix) -> SolutionSpace:
-    """Exact rank and right-kernel basis of a public base over the rationals."""
-    rows = _exact_entries(m_pub)
-    rref, pivots = _rref([row[:] for row in rows])
-    return SolutionSpace(
-        m_pub=m_pub,
-        r_pub=None,
-        rank=len(pivots),
-        kernel=_kernel_basis(rref, pivots, m_pub.cols),
-    )
-
-
-def _particular_solution(
-    m_rows: list[list[Fraction]], r_rows: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """One exact solution W0 of M W0 = R (free variables set to zero)."""
-    d_out = len(r_rows[0])
-    aug = [m + r for m, r in zip(m_rows, r_rows)]
-    rref, pivots = _rref(aug)
-    d = len(m_rows[0])
-    pivots = [p for p in pivots if p < d]
-    w0 = [[Fraction(0)] * d_out for _ in range(d)]
-    for i, pc in enumerate(pivots):
-        for j in range(d_out):
-            w0[pc][j] = rref[i][d + j]
-    return w0
+    """Rank and right-kernel basis of a public base over Z_2^k."""
+    rank, kernel = ring_kernel(m_pub)
+    return SolutionSpace(rank=rank, kernel=kernel)
 
 
 def enumerate_consistent_weights(
     m_pub: RingMatrix, r_pub: RingMatrix, count: int
-) -> tuple[SolutionSpace, list[list[list[Fraction]]]]:
-    """`count` pairwise-distinct exact solutions of M_pub W' = R_pub, none equal to W0.
+) -> tuple[SolutionSpace, list[RingMatrix]]:
+    """`count` pairwise-distinct ring solutions of M_pub W' == R_pub, none equal to W0.
 
-    The pool is the raw ring product (scale 2f), so it dequantizes with
-    the doubled denominator.  Construction is exact, hence every
-    candidate's residual is identically zero.
+    The pool is the raw ring product M_pub @ W, so every W0 + N @ Z solves
+    it exactly.  Candidate i adds (1 + i // (nb * d_out)) times kernel
+    column i % nb to column (i // nb) % d_out of W0; they are distinct
+    while that multiplier stays below 2^k.
     """
-    space = kernel_analysis(m_pub)
-    if space.kernel_dim == 0:
+    solved = ring_solve(m_pub, r_pub)
+    if solved is None:
+        raise ProtocolError("pool is not M_pub @ W for any W")
+    particular, kernel = solved
+    nb, d_out = kernel.cols, r_pub.cols
+    if nb == 0:
         raise TrivialKernel("public base has full column rank; no free directions")
-    m_rows = _exact_entries(m_pub)
-    r_rows = _exact_entries(r_pub, extra_scale=r_pub.params.f)
-    w0 = _particular_solution(m_rows, r_rows)
-    space.r_pub = r_pub
-    space.particular = w0
-    d_out = len(r_rows[0])
     candidates = []
-    nb = len(space.kernel)
     for i in range(count):
-        vec = space.kernel[i % nb]
-        scale = Fraction(i // nb + 1)
-        col = i % d_out
-        w = [row[:] for row in w0]
-        for r_idx in range(len(vec)):
-            w[r_idx][col] += scale * vec[r_idx]
-        candidates.append(w)
-    return space, candidates
+        z = np.zeros((nb, d_out), dtype=np.uint64)
+        z[i % nb, (i // nb) % d_out] = 1 + i // (nb * d_out)
+        candidates.append(ring_add(particular, ring_matmul(kernel, RingMatrix(z, r_pub.params))))
+    return SolutionSpace(m_pub.cols - nb, kernel, particular), candidates
 
 
-def residual_inf(m_pub: RingMatrix, w: list[list[Fraction]], r_pub: RingMatrix) -> float:
-    """max |M_pub @ W - R_pub| evaluated in exact rational arithmetic."""
-    m_rows = _exact_entries(m_pub)
-    r_rows = _exact_entries(r_pub, extra_scale=r_pub.params.f)
-    worst = Fraction(0)
-    d = len(w)
-    for i, mrow in enumerate(m_rows):
-        for j in range(len(r_rows[0])):
-            acc = sum(mrow[t] * w[t][j] for t in range(d)) - r_rows[i][j]
-            worst = max(worst, abs(acc))
-    return float(worst)
+def residual_inf(m_pub: RingMatrix, w: RingMatrix, r_pub: RingMatrix) -> float:
+    """max |M_pub @ W - R_pub| in the ring, dequantized at the pool's scale 2f."""
+    diff = ring_sub(ring_matmul(m_pub, w), r_pub).signed().astype(np.float64)
+    return float(np.max(np.abs(diff), initial=0.0)) / r_pub.params.scale**2
 
 
 # --- sketch stacking (why re-issue is refused) -----------------------------------
@@ -302,44 +231,6 @@ def forge_sketch(
     """
     base = PrgKey.from_int(seed).ring_matrix(m, weight.rows, params, "forged-sketch", tag)
     return base, ring_matmul(base, weight)
-
-
-def _solve_mod_2k(
-    a_rows: list[list[int]], b_rows: list[list[int]], k: int
-) -> list[list[int]] | None:
-    """Unique solution X of A X = B mod 2^k, or None when elimination
-    cannot find a unit (odd) pivot for every column."""
-    mod = 1 << k
-    n_rows = len(a_rows)
-    if n_rows == 0:
-        return None
-    d = len(a_rows[0])
-    d_out = len(b_rows[0])
-    aug = [[v % mod for v in a_rows[i]] + [v % mod for v in b_rows[i]] for i in range(n_rows)]
-    width = d + d_out
-    pivot_rows: list[int] = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, n_rows) if aug[i][c] % 2 == 1), None)
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, mod)
-        aug[r] = [(v * inv) % mod for v in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [(a - factor * b) % mod for a, b in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
-        r += 1
-    # leftover rows must be consistent (0 = 0) when a solution exists
-    for i in range(r, n_rows):
-        if any(v != 0 for v in aug[i]):
-            return None
-    x = [[0] * d_out for _ in range(d)]
-    for row, c in zip(pivot_rows, range(d)):
-        x[c] = aug[row][d:width]
-    return x
 
 
 @dataclass(frozen=True)
@@ -364,19 +255,15 @@ def stacking_attack_demo(
     rank and hand them over exactly.  The solve runs in the ring because
     pools are ring values.
     """
-    a_rows: list[list[int]] = []
-    b_rows: list[list[int]] = []
-    for base, pool in sketches:
-        a_rows.extend(base.to_ints())
-        b_rows.extend(pool.to_ints())
-    k = true_w.params.k
-    d = true_w.rows
-    if len(a_rows) < d:
-        return StackingReport(False, len(sketches), len(a_rows), None)
-    x = _solve_mod_2k(a_rows, b_rows, k)
-    if x is None:
-        return StackingReport(False, len(sketches), len(a_rows), None)
-    solved = RingMatrix.from_ints(x, true_w.params)
-    diff = (solved.signed().astype(np.float64) - true_w.signed().astype(np.float64))
-    err = float(np.max(np.abs(diff))) / true_w.params.scale
-    return StackingReport(err <= tol, len(sketches), len(a_rows), err)
+    params = true_w.params
+    base = RingMatrix(np.vstack([b.data for b, _ in sketches]), params)
+    pool = RingMatrix(np.vstack([p.data for _, p in sketches]), params)
+    try:
+        solved = ring_solve(base, pool)
+    except BadDims:  # some column needs an even pivot
+        solved = None
+    if solved is None or solved[1].cols:
+        return StackingReport(False, len(sketches), base.rows, None)
+    diff = solved[0].signed().astype(np.float64) - true_w.signed().astype(np.float64)
+    err = float(np.max(np.abs(diff))) / params.scale
+    return StackingReport(err <= tol, len(sketches), base.rows, err)

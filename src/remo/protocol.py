@@ -475,14 +475,12 @@ class Enclave:
     products.
     """
 
-    def __init__(self, params: EnclaveParams, master_seed: int, mask_ratio: float = 0.5,
-                 tap_enabled: bool = True):
+    def __init__(self, params: EnclaveParams, master_seed: int, mask_ratio: float = 0.5):
         if not (0.0 < mask_ratio < 1.0):
             raise ValueError("mask_ratio must be in (0, 1)")
         self.params = params
         self.cfg: ModelConfig = params.config
         self.mask_ratio = mask_ratio
-        self.tap_enabled = tap_enabled
         self._master = PrgKey.from_int(master_seed)
         self._issuer = MaskIssuer(self._master.child("setup"), self.cfg.params)
         self.bases: dict[str, MaskBase] = {}
@@ -519,23 +517,19 @@ class Enclave:
             sid = self._session_counter
         return Session(session_id=sid, prg=self._master.child("session", sid))
 
-    def run_session(self, transport, prompt, max_new: int, tap=None) -> list[int]:
+    def run_session(self, transport, prompt, max_new: int) -> list[int]:
         """Setup if needed, then the full per-token loop for one prompt.
 
         Opens a provider session, feeds the prompt and decodes up to
         `max_new` tokens with every weighted op masked, outsourced and
         recovered, and closes the session even when decoding fails.
-        `tap`, when given, records each op's plaintext input next to the
-        masked matrix the provider saw.
         """
-        if tap is not None and not self.tap_enabled:
-            raise errors.TapUnavailable("this enclave was built without tap instrumentation")
         self.setup(transport)
         session = self._new_session()
         ack = transport.request(OpenSession(session.session_id))
         if isinstance(ack, ErrorReply):
             raise errors.from_code(ack.code, ack.detail)
-        engine = DecoderEngine(self.params, _MaskedWeightedOps(self, transport, session, tap))
+        engine = DecoderEngine(self.params, _MaskedWeightedOps(self, transport, session))
         try:
             return engine.generate(prompt, max_new)
         finally:
@@ -548,11 +542,10 @@ class Enclave:
 class _MaskedWeightedOps:
     """Weighted-op evaluator that masks, outsources and recovers."""
 
-    def __init__(self, enclave: Enclave, transport, session: Session, tap):
+    def __init__(self, enclave: Enclave, transport, session: Session):
         self.enclave = enclave
         self.transport = transport
         self.session = session
-        self.tap = tap
         self.step = -1
         self.sent: set[str] = set()  # ops outsourced in self.step
 
@@ -565,8 +558,6 @@ class _MaskedWeightedOps:
         self.sent.add(op_id)
         m_pvt = derive_step_mask(self.session.prg, step, op_id, x.rows, base.m, x.params)
         masked = mask_embedding(x, m_pvt, base.public_base)
-        if self.tap is not None:
-            self.tap.record(step, op_id, x, masked)
         reply = self.transport.request(
             MatMulRequest(self.session.session_id, step, op_id, masked)
         )

@@ -14,6 +14,10 @@ Fixed-point encoding: a ring element v encodes the real x = s(v) / 2^f
 where s(v) is the two's-complement interpretation of the low k bits.
 A product of two scale-f values lives at scale 2f; `rescale` shifts it
 back down with round-half-even.
+
+Linear systems over the ring are solved by one odd-pivot eliminator,
+`ring_solve` (`ring_kernel` is its homogeneous case): odd elements are
+the units of Z_2^k.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
+from .errors import BadDims, BadParams, DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
 
 MATRIX_MAGIC = b"RMX1"
 _MATRIX_HEADER = struct.Struct("<IIBB")  # rows, cols, k, f
@@ -224,6 +228,64 @@ def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if a.params.k < 64:
         out = out & np.uint64(a.params.mask)
     return RingMatrix(out, a.params)
+
+
+def ring_solve(a: RingMatrix, b: RingMatrix) -> tuple[RingMatrix, RingMatrix] | None:
+    """All X with a @ X == b over Z_2^k, as (X0, N): X = X0 + N @ Z.
+
+    Gauss-Jordan elimination of [a | b] with odd (unit) pivots.  A column
+    with no odd entry among the rows not yet used as pivots stays free.
+    N is d x (free columns) with a @ N == 0 and the identity at the free
+    rows; X0 is zero there.  Row operations wrap mod 2^64, which is
+    congruent mod 2^k, so the result is masked once at the end.  Returns
+    None when the system is inconsistent.  Raises BadDims when a row of a
+    is left non-zero: such a matrix needs an even pivot, which this
+    eliminator does not use.
+    """
+    _check_pair(a, b, same_shape=False)
+    if a.rows != b.rows:
+        raise ShapeMismatch(f"row counts differ: {a.shape} vs {b.shape}")
+    d = a.cols
+    aug = np.hstack([a.data, b.data])
+    pivots: list[int] = []
+    for c in range(d):
+        r = len(pivots)
+        odd = np.flatnonzero(aug[r:, c] & np.uint64(1))
+        if odd.size == 0:
+            continue
+        p = r + int(odd[0])
+        aug[[r, p]] = aug[[p, r]]
+        aug[r] *= np.uint64(pow(int(aug[r, c]), -1, 1 << 64))
+        factor = aug[:, c].copy()
+        factor[r] = 0
+        aug -= np.outer(factor, aug[r])
+        pivots.append(c)
+    if a.params.k < 64:
+        aug &= np.uint64(a.params.mask)
+    r = len(pivots)
+    if np.any(aug[r:, :d]):
+        raise BadDims(f"{a.rows}x{d} matrix does not reduce with odd pivots mod 2^{a.params.k}")
+    if np.any(aug[r:, d:]):
+        return None
+    free = [c for c in range(d) if c not in pivots]
+    x0 = np.zeros((d, b.cols), dtype=np.uint64)
+    x0[pivots] = aug[:r, d:]
+    n = np.zeros((d, len(free)), dtype=np.uint64)
+    n[free, np.arange(len(free))] = 1
+    n[pivots] = np.uint64(0) - aug[:r, free]
+    if a.params.k < 64:
+        n &= np.uint64(a.params.mask)
+    return RingMatrix(x0, a.params), RingMatrix(n, a.params)
+
+
+def ring_kernel(m: RingMatrix) -> tuple[int, RingMatrix]:
+    """Rank of m over Z_2^k and the basis N of its right kernel from ring_solve.
+
+    Every kernel vector is N @ z for one z.  Raises BadDims when m does
+    not reduce with odd pivots.
+    """
+    _, n = ring_solve(m, zeros(m.rows, 0, m.params))
+    return m.cols - n.cols, n
 
 
 def rescale(a: RingMatrix) -> RingMatrix:

@@ -41,6 +41,16 @@ def random_message(rng: np.random.Generator):
     return ErrorReply("ShapeMismatch", "x" * int(rng.integers(0, 40)))
 
 
+def slow_matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
+    """Schoolbook integer matmul reduced mod 2^k, pure Python ints."""
+    mod = 1 << k
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(inner)) % mod for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
 def zero_step_mask(prg, step, op_id, n, m, params) -> RingMatrix:
     """Stand-in for `derive_step_mask` in negative controls: an all-zero
     private mixing matrix, so the raw embeddings go on the wire."""

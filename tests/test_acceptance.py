@@ -106,7 +106,7 @@ def test_criterion_3_attack_degradation(acfg, aweights):
         acfg.attack_prompts, acfg.attack_prompt_len, acfg.vocab, acfg.seed_for("corpus")
     )
     views = atk.collect_views(
-        enclave, InProcTransport(provider), prompts, acfg.attack_op, acfg.attack_max_new
+        aweights, enclave, InProcTransport(provider), prompts, acfg.attack_op, acfg.attack_max_new
     )
     eval_report = atk.run_attack_eval(views, aweights.embedding, acfg.vocab, seed=acfg.seed_for("corpus"))
     masked_tra, n_masked = eval_report.pooled[True]
@@ -170,7 +170,7 @@ def test_criterion_5_non_identifiability(acfg, aweights):
     base = enclave.bases[acfg.attack_op]
     _, candidates = pv.enumerate_consistent_weights(base.public_base, base.pool, 10)
     residuals = [pv.residual_inf(base.public_base, w, base.pool) for w in candidates]
-    distinct = len({tuple(tuple(r) for r in w) for w in candidates}) == 10
+    distinct = len(set(candidates)) == 10
     consistent_ok = max(residuals) <= 1e-9 and distinct
 
     true_w = aweights.op_matrix(acfg.attack_op)

@@ -16,8 +16,8 @@ from remo.attack import (
     tra,
     train_centroids,
 )
-from remo.errors import EmptyClass, LengthMismatch, TapUnavailable, UnknownOp
-from remo.model import rms_norm
+from remo.errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
+from remo.model import ModelConfig, init_weights, rms_norm
 from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState
 from remo.ring import QuantParams, dequantize, quantize
 
@@ -58,7 +58,7 @@ def test_collect_views_labels_and_taps(toy_weights):
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     transport = InProcTransport(transcript_provider)
     prompts = make_corpus(4, 6, 64, seed=9)
-    views = collect_views(enclave, transport, prompts, "l0.wqkv", max_new=3)
+    views = collect_views(toy_weights, enclave, transport, prompts, "l0.wqkv", max_new=3)
     assert views.raw_rows.shape == views.masked_rows.shape
     assert len(views) == len(views.labels) == len(views.is_prompt)
     # every prompt contributes its prompt positions plus the fed-back response
@@ -80,7 +80,7 @@ def test_collect_views_masked_rows_match_wire(toy_weights):
     provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     prompts = make_corpus(2, 5, 64, seed=10)
-    views = collect_views(enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=2)
+    views = collect_views(toy_weights, enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=2)
     wire_rows = [
         dequantize(e.message.masked)[0]
         for e in transcript.entries
@@ -99,15 +99,22 @@ def test_collect_views_unknown_op_fails_before_any_session(toy_weights, op_id):
     provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     with pytest.raises(UnknownOp, match=op_id):
-        collect_views(enclave, InProcTransport(provider), [[1, 2, 3]], op_id, max_new=2)
+        collect_views(toy_weights, enclave, InProcTransport(provider), [[1, 2, 3]], op_id, max_new=2)
     assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
 
 
-def test_collect_views_requires_instrumentation(toy_weights):
-    provider = ProviderState(toy_weights.provider_view(), P)
-    enclave = Enclave(toy_weights.enclave_view(), master_seed=5, tap_enabled=False)
-    with pytest.raises(TapUnavailable):
-        collect_views(enclave, InProcTransport(provider), [[1, 2]], "l0.wqkv", max_new=1)
+def test_collect_views_refuses_misaligned_rows(toy_weights):
+    # the provider holds other weights, so responses differ from the reference
+    other = init_weights(ModelConfig(), seed=4321)
+    provider = ProviderState(other.provider_view(), P)
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
+    views = None
+    with pytest.raises(ProtocolError, match="differs from reference"):
+        views = collect_views(
+            toy_weights, enclave, InProcTransport(provider), make_corpus(3, 6, 64, seed=12),
+            "l0.wqkv", max_new=3,
+        )
+    assert views is None
 
 
 # --- centroids -----------------------------------------------------------------
@@ -211,7 +218,7 @@ def small_views(toy_weights):
     provider = ProviderState(toy_weights.provider_view(), P)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=21)
     prompts = make_corpus(60, 10, 64, seed=11)
-    return collect_views(enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=4)
+    return collect_views(toy_weights, enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=4)
 
 
 def test_splits_disjoint_and_sized(small_views):

@@ -210,10 +210,10 @@ def test_privacy_negative_control_square_base(tmp_path):
         issuer.gen_public_base("x", m=8, d=8)
     # and a hand-built square full-rank base has a zero-dimensional kernel
     from remo.privacy import kernel_analysis
-    from remo.ring import quantize
+    from remo.ring import RingMatrix
     import numpy as np
 
-    space = kernel_analysis(quantize(np.eye(8), QuantParams()))
+    space = kernel_analysis(RingMatrix.from_ints(np.eye(8, dtype=int), QuantParams()))
     assert space.kernel_dim == 0  # the privacy clause would fail here
 
 

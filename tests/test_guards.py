@@ -9,6 +9,7 @@ import pytest
 import remo
 from remo import errors
 from remo.errors import ProtocolError, RemoError
+from remo.protocol import Enclave
 from remo.ring import QuantParams
 
 MODULES = [
@@ -68,3 +69,13 @@ def test_no_public_callable_takes_a_private_parameter():
 def test_every_exported_name_resolves():
     missing = [name for name in remo.__all__ if not hasattr(remo, name)]
     assert not missing
+
+
+def test_enclave_has_no_plaintext_hook():
+    # attack views come from the wire and a reference engine, not from the enclave
+    assert list(inspect.signature(Enclave.__init__).parameters) == [
+        "self", "params", "master_seed", "mask_ratio",
+    ]
+    assert list(inspect.signature(Enclave.run_session).parameters) == [
+        "self", "transport", "prompt", "max_new",
+    ]

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from remo import Enclave, InProcTransport, ModelConfig, ProviderState, init_weights
-from remo.errors import BadDims, ShapeMismatch, SketchReissue
+from remo.errors import BadDims, RemoError, ShapeMismatch, SketchReissue
 from remo.masking import (
     MaskIssuer,
     _full_row_rank,
@@ -18,7 +18,7 @@ from remo.masking import (
     recover,
 )
 from remo.prg import PrgKey
-from remo.ring import QuantParams, RingMatrix, ring_matmul, zeros
+from remo.ring import QuantParams, RingMatrix, ring_kernel, ring_matmul, zeros
 
 P = QuantParams()
 
@@ -137,6 +137,11 @@ def test_full_row_rank_matches_bitwise_packing():
         matrix = RingMatrix(rng.integers(0, 2**64, (m, d), dtype=np.uint64), P)
         verdicts.append(_full_row_rank(matrix))
         assert verdicts[-1] == bitwise_full_row_rank(matrix)
+        try:
+            ring_full = ring_kernel(matrix)[0] == m
+        except RemoError:  # left a non-zero row: needs an even pivot
+            ring_full = False
+        assert ring_full == verdicts[-1]
     assert any(verdicts) and not all(verdicts)
 
 

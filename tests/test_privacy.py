@@ -1,12 +1,13 @@
 """Distinguishing-game bounds, exact TV geometry, kernel and stacking analyses."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
+from conftest import slow_matmul
 
+from remo.attack import make_corpus
 from remo.errors import DimTooLarge, TrivialKernel
 from remo.masking import MaskIssuer
+from remo.model import DecoderEngine, LocalWeightedOps
 from remo.prg import PrgKey
 from remo.privacy import (
     GameConfig,
@@ -20,7 +21,8 @@ from remo.privacy import (
     tv_box_closed_form,
     tv_exact_small,
 )
-from remo.ring import QuantParams, RingMatrix, quantize, ring_matmul
+from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState, SetupBase, Transcript
+from remo.ring import QuantParams, RingMatrix, quantize, ring_kernel, ring_matmul
 
 P = QuantParams()
 
@@ -125,27 +127,21 @@ def test_game_validation():
 # --- kernel analysis ------------------------------------------------------------------
 
 
-def frac_rows(matrix: RingMatrix, extra_scale: int = 0):
-    den = 1 << (matrix.params.f + extra_scale)
-    return [[Fraction(int(v), den) for v in row] for row in matrix.signed()]
-
-
-def annihilates(matrix: RingMatrix, vec) -> bool:
-    rows = frac_rows(matrix)
-    return all(sum(r[j] * vec[j] for j in range(len(vec))) == 0 for r in rows)
+def unit(rows) -> RingMatrix:
+    return RingMatrix.from_ints(rows, P)
 
 
 def test_kernel_canonical_rows():
-    m = quantize(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), P)
-    space = kernel_analysis(m)
+    space = kernel_analysis(unit([[1, 0, 0], [0, 1, 0]]))
     assert space.rank == 2
     assert space.kernel_dim == 1
-    assert space.kernel[0] == [Fraction(0), Fraction(0), Fraction(1)]
+    assert space.kernel.to_ints() == [[0], [0], [1]]
 
 
 def test_kernel_zero_matrix():
     space = kernel_analysis(RingMatrix(np.zeros((2, 5), dtype=np.uint64), P))
     assert space.rank == 0 and space.kernel_dim == 5
+    assert space.kernel == unit(np.eye(5, dtype=int))
 
 
 def test_kernel_random_full_row_rank():
@@ -155,27 +151,31 @@ def test_kernel_random_full_row_rank():
     assert space.rank == 6
     assert space.kernel_dim == 11 - 6
     assert space.rank + space.kernel_dim == 11
-    # independent checks: numpy rank agrees, kernel vectors exactly annihilate
+    # independent checks: numpy rank agrees, the basis annihilates in Python
+    # ints, and its rows at the free columns are the identity
     float_rank = np.linalg.matrix_rank(base.public_base.signed().astype(np.float64))
     assert float_rank == 6
-    for vec in space.kernel:
-        assert annihilates(base.public_base, vec)
+    n = space.kernel.to_ints()
+    assert slow_matmul(base.public_base.to_ints(), n, 64) == [[0] * 5 for _ in range(6)]
+    free = [i for i, row in enumerate(n) if sorted(row) == [0, 0, 0, 0, 1]]
+    assert [n[i] for i in free] == np.eye(5, dtype=int).tolist()
 
 
 # --- consistent weight enumeration -----------------------------------------------------
 
 
 def test_consistent_weights_canonical_identity():
-    m_pub = quantize(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), P)
-    w = quantize(np.eye(3), P)
+    m_pub = unit([[1, 0, 0], [0, 1, 0]])
+    w = unit(np.eye(3, dtype=int))
     r_pub = ring_matmul(m_pub, w)
     space, candidates = enumerate_consistent_weights(m_pub, r_pub, count=5)
     w0 = space.particular
+    assert len(set(candidates)) == 5
     for cand in candidates:
         assert residual_inf(m_pub, cand, r_pub) == 0.0
         # kernel is span(e3): candidates may differ from W0 only in row 3
-        assert cand[0] == w0[0] and cand[1] == w0[1]
-        assert cand[2] != w0[2]
+        assert np.array_equal(cand.data[:2], w0.data[:2])
+        assert not np.array_equal(cand.data[2], w0.data[2])
 
 
 def test_consistent_weights_random_distinct():
@@ -186,19 +186,61 @@ def test_consistent_weights_random_distinct():
     r_pub = ring_matmul(base.public_base, w)
     space, candidates = enumerate_consistent_weights(base.public_base, r_pub, count=10)
     assert len(candidates) == 10
-    seen = {tuple(tuple(row) for row in cand) for cand in candidates}
-    assert len(seen) == 10
-    w0_key = tuple(tuple(row) for row in space.particular)
-    assert w0_key not in seen  # zero perturbation is rejected
+    assert len(set(candidates)) == 10
+    assert space.particular not in candidates  # zero perturbation is rejected
     for cand in candidates:
-        assert residual_inf(base.public_base, cand, r_pub) <= 1e-9
+        assert residual_inf(base.public_base, cand, r_pub) == 0.0
+        assert slow_matmul(base.public_base.to_ints(), cand.to_ints(), 64) == r_pub.to_ints()
 
 
 def test_consistent_weights_trivial_kernel():
-    m_pub = quantize(np.eye(3), P)
-    r_pub = ring_matmul(m_pub, quantize(np.eye(3), P))
+    m_pub = unit(np.eye(3, dtype=int))
+    r_pub = ring_matmul(m_pub, unit(np.eye(3, dtype=int)))
     with pytest.raises(TrivialKernel):
         enumerate_consistent_weights(m_pub, r_pub, count=1)
+
+
+# --- the subspace leak (masking docstring, "Limit") ------------------------------------
+
+
+def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
+    """masked @ N == raw @ N for the ring kernel N of every issued base, and at
+    layer 0 one projection already identifies the fed token."""
+    transcript = Transcript()
+    provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=3, mask_ratio=0.5)
+    local = LocalWeightedOps(toy_weights.provider_view())
+    requests, raw, fed = [], {}, {}
+    for pi, prompt in enumerate(make_corpus(10, 8, 64, seed=13)):
+        start = len(transcript.entries)
+        response = enclave.run_session(InProcTransport(provider), prompt, 4)
+        requests += [
+            (pi, e.message) for e in transcript.entries[start:] if isinstance(e.message, MatMulRequest)
+        ]
+
+        def recording(op, x, step, pi=pi):
+            raw[pi, step, op] = x
+            return local(op, x, step)
+
+        assert DecoderEngine(toy_weights.enclave_view(), recording).generate(prompt, 4) == response
+        fed.update({(pi, step): t for step, t in enumerate(list(prompt) + response[:-1])})
+    kernels = {
+        e.message.op_id: ring_kernel(e.message.base)[1]
+        for e in transcript.entries
+        if isinstance(e.message, SetupBase)
+    }
+    assert set(kernels) == set(toy_weights.config.op_ids())
+    pairs = set()
+    for pi, msg in requests:
+        n = kernels[msg.op_id]
+        assert n.cols == msg.masked.cols // 2
+        projected = ring_matmul(msg.masked, n)
+        assert projected == ring_matmul(raw[pi, msg.step, msg.op_id], n)
+        if msg.op_id == "l0.wqkv":
+            pairs.add((fed[pi, msg.step], int(projected.data[0, 0])))
+    assert len(requests) == 110 * len(kernels)
+    tokens = {t for t, _ in pairs}
+    assert len(tokens) == len({v for _, v in pairs}) == len(pairs) > 40
 
 
 # --- sketch stacking ----------------------------------------------------------------------

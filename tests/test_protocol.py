@@ -191,7 +191,7 @@ def test_same_op_twice_in_one_step_refused(toy_world):
 
     _, _, enclave, transport, _ = toy_world
     enclave.setup(transport)
-    weighted = _MaskedWeightedOps(enclave, transport, Session(1, PrgKey.from_int(1)), None)
+    weighted = _MaskedWeightedOps(enclave, transport, Session(1, PrgKey.from_int(1)))
     x = RingMatrix.from_ints([[1] * 32], P)
     weighted("l0.wqkv", x, 0)
     weighted("l0.wo", x, 0)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import slow_matmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remo.errors import DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
+from remo.errors import DecodeError, LengthMismatch, RangeOverflow, RemoError, ShapeMismatch
 from remo.ring import (
     _EINSUM_MIN_MACS,
     QuantParams,
@@ -18,7 +19,9 @@ from remo.ring import (
     quantize,
     rescale,
     ring_add,
+    ring_kernel,
     ring_matmul,
+    ring_solve,
     ring_sub,
     zeros,
 )
@@ -29,16 +32,6 @@ P16 = QuantParams(k=16, f=4)
 
 
 # --- independent oracles ---------------------------------------------------
-
-
-def slow_matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
-    """Schoolbook integer matmul reduced mod 2^k, pure Python ints."""
-    mod = 1 << k
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(inner)) % mod for j in range(cols)]
-        for i in range(rows)
-    ]
 
 
 def round_half_even_div(value: int, shift: int) -> int:
@@ -301,6 +294,59 @@ def test_exact_recovery_identity():
         w = RingMatrix.from_ints(rng.integers(0, 2**63, (d, dout)).tolist(), P64)
         got = ring_sub(ring_matmul(ring_add(e, mask), w), ring_matmul(mask, w))
         assert got == ring_matmul(e, w)
+
+
+# --- the odd-pivot eliminator ----------------------------------------------------------
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eliminator_kernel_and_solution_hold_mod_2k(data):
+    # QuantParams needs 1 <= f < k, so k starts at 2
+    bits = data.draw(st.one_of(st.just(64), st.integers(2, 63)), label="k")
+    d = data.draw(st.integers(1, 12), label="d")
+    m = data.draw(st.integers(1, d), label="m")
+    t = data.draw(st.integers(1, 4), label="d_out")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p = QuantParams(k=bits, f=1)
+    mod = 1 << bits
+
+    def draw(shape):
+        return rng.integers(0, mod - 1, size=shape, dtype=np.uint64, endpoint=True)
+
+    # M = L @ [I | R] with L lower triangular and odd on the diagonal:
+    # every row has a unit pivot
+    lower = np.tril(draw((m, m)))
+    lower[np.diag_indices(m)] |= np.uint64(1)
+    ident_r = np.hstack([np.eye(m, dtype=np.uint64), draw((m, d - m))])
+    mat = RingMatrix(lower @ ident_r & np.uint64(p.mask), p)
+    rank, n = ring_kernel(mat)
+    assert rank == m and n.shape == (d, d - m)
+    assert slow_matmul(mat.to_ints(), n.to_ints(), bits) == [[0] * (d - m) for _ in range(m)]
+    assert n.to_ints()[m:] == np.eye(d - m, dtype=int).tolist()
+
+    b = RingMatrix(draw((m, t)), p)
+    x0, n_solve = ring_solve(mat, b)
+    assert n_solve == n
+    assert slow_matmul(mat.to_ints(), x0.to_ints(), bits) == b.to_ints()
+
+    # one more row, the sum of the others: its right-hand side decides consistency
+    delta = data.draw(st.integers(0, mod - 1), label="delta")
+    stacked = RingMatrix(np.vstack([mat.data, mat.data.sum(axis=0) & np.uint64(p.mask)]), p)
+    extra = (b.data.sum(axis=0) + np.uint64(delta)) & np.uint64(p.mask)
+    solved = ring_solve(stacked, RingMatrix(np.vstack([b.data, extra]), p))
+    if delta == 0:
+        assert solved is not None
+        assert slow_matmul(mat.to_ints(), solved[0].to_ints(), bits) == b.to_ints()
+    else:
+        assert solved is None
+
+    # doubled, every entry is even and some is not zero: no odd pivot anywhere
+    doubled = RingMatrix((mat.data << np.uint64(1)) & np.uint64(p.mask), p)
+    with pytest.raises(RemoError):
+        ring_kernel(doubled)
+    with pytest.raises(RemoError):
+        ring_solve(doubled, b)
 
 
 # --- binary encoding ------------------------------------------------------------------
