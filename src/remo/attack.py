@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
-from .model import DecoderEngine, LocalWeightedOps, ModelWeights
+from .model import DecoderEngine, LocalWeightedOps, ModelWeights, block_rows
 from .protocol import MatMulRequest
 from .ring import RingMatrix, dequantize
 
@@ -77,10 +77,13 @@ def collect_views(
 
     Masked rows are the `MatMulRequest`s of `op_id` that the provider
     receives.  Raw rows, the unprotected deployment's view, are the
-    inputs of `op_id` on a reference `DecoderEngine` over `weights`; each
-    row is labelled with the token fed at its step.  Raises ProtocolError
-    when a partitioned response differs from the reference one, because
-    its rows could not be aligned.
+    inputs of `op_id` on a reference `DecoderEngine` over `weights`.  A
+    request carries `block_rows` of one block, which runs from its step
+    to the next request's step (the last one to the engine's final
+    position), and each row is labelled with the token fed at its
+    position.  Raises ProtocolError when a partitioned response, or the
+    steps and row counts of the op's requests, differ from the
+    reference, because its rows could not be aligned.
     """
     if op_id not in enclave.cfg.op_ids():
         raise UnknownOp(f"no weighted op {op_id!r}; the model has {enclave.cfg.op_ids()}")
@@ -97,18 +100,23 @@ def collect_views(
                 inputs.append((step, x))
             return local(op, x, step)
 
-        reference = DecoderEngine(params, recording).generate(prompt, max_new)
-        if response != reference or [s for s, _ in wire.rows] != [s for s, _ in inputs]:
+        engine = DecoderEngine(params, recording)
+        reference = engine.generate(prompt, max_new)
+        if response != reference or [(s, m.rows) for s, m in wire.rows] != [
+            (s, x.rows) for s, x in inputs
+        ]:
             raise ProtocolError(
                 f"prompt {pi}: partitioned response {response} differs from reference {reference}"
             )
         fed = list(prompt) + response[:-1]
-        for (step, raw_m), (_, masked_m) in zip(inputs, wire.rows):
-            raw.append(dequantize(raw_m)[0])
-            masked.append(dequantize(masked_m)[0])
-            labels.append(fed[step])
-            is_prompt.append(step < len(prompt))
-            prompt_idx.append(pi)
+        ends = [s for s, _ in inputs[1:]] + [engine.pos]
+        for (step, raw_m), (_, masked_m), end in zip(inputs, wire.rows, ends):
+            positions = range(step, end)[block_rows(op_id, end - step)]
+            raw.extend(dequantize(raw_m))
+            masked.extend(dequantize(masked_m))
+            labels.extend(fed[s] for s in positions)
+            is_prompt.extend(s < len(prompt) for s in positions)
+            prompt_idx.extend(pi for _ in positions)
     return CollectedViews(
         op_id=op_id,
         raw_rows=np.asarray(raw),

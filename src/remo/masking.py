@@ -4,7 +4,8 @@ Setup releases a single random m x d public base per weight matrix
 (m < d, so the provider-side product reveals only an underdetermined
 sketch of the weights) and stores the returned restoration pool.  At
 every decoding step the enclave draws a fresh private n x m mixing
-matrix, applies the additive mask E + M_pvt @ M_pub, and later removes
+matrix (one row per input row, so a prefilled prompt block is masked in
+one draw), applies the additive mask E + M_pvt @ M_pub, and later removes
 the provider's contribution exactly via O_hat - M_pvt @ R_pub.
 
 The full mask M_pvt @ M_pub exists only transiently inside
@@ -108,10 +109,12 @@ class MaskIssuer:
 def derive_step_mask(
     prg: PrgKey, step: int, op_id: str, n: int, m: int, params: QuantParams
 ) -> RingMatrix:
-    """Fresh n x m private mixing matrix for one decoding step.
+    """Fresh n x m private mixing matrix for one decoding step or block.
 
     Uniform on Z_2^k, bound to the (step, op) labels so no two steps and
-    no two ops in one step ever share a stream.
+    no two ops in one step ever share a stream.  For a block of n rows
+    (a prefilled prompt), `step` is the block's first position; later
+    steps start after the block, so (step, op) still never repeats.
     """
     if n < 1:
         raise BadDims("need n >= 1")

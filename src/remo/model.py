@@ -9,10 +9,13 @@ else (RMSNorm, attention scores/softmax, SiLU, residuals, greedy
 sampling) is "structural": computed on dequantized reals inside the
 enclave and re-quantized at the boundary.
 
-The same DecoderEngine drives both the partitioned pipeline and the
-single-party reference pipeline; they differ only in the callable that
-evaluates weighted ops, so any divergence between them is a protocol
-bug, not a modelling artifact.
+A prompt is fed as one block (one n-row product per op, with attention
+still computed row by row over the causal cache prefix), and each later
+token as a block of one; a prompt fed as one block or token by token
+gives bit-identical caches and tokens.  The same DecoderEngine drives
+both the partitioned pipeline and the single-party reference pipeline;
+they differ only in the callable that evaluates weighted ops, so any
+divergence between them is a protocol bug, not a modelling artifact.
 """
 
 from __future__ import annotations
@@ -327,13 +330,24 @@ def argmax_token(logits: RingMatrix) -> int:
     return int(np.argmax(logits.signed()[0]))
 
 
-# --- the shared per-token pipeline -------------------------------------------
+# --- the shared decoding pipeline -------------------------------------------
+
+
+def block_rows(op_id: str, n: int) -> slice:
+    """Rows of an n-token block that `op_id` is sent: all of them for a
+    layer op, the last one for `head`, whose logits pick the next token."""
+    return slice(n - 1, n) if op_id == HEAD_OP else slice(0, n)
 
 
 class DecoderEngine:
-    """Serial per-token decoder; `weighted(op_id, x, step)` supplies every
-    weight-matrix product at raw scale 2f and is the single point where
-    the partitioned and reference pipelines differ."""
+    """Decoder over blocks of consecutive positions.
+
+    `weighted(op_id, x, step)` supplies every weight-matrix product at raw
+    scale 2f and is the single point where the partitioned and reference
+    pipelines differ.  `prefill` feeds a block of tokens with one call per
+    op at step = the block's first position, on the rows `block_rows`
+    picks; `decode_step` is a block of one token.
+    """
 
     def __init__(self, params: EnclaveParams, weighted):
         self.p = params
@@ -347,9 +361,25 @@ class DecoderEngine:
 
     def decode_step(self, token: int) -> int:
         """Feed one token at the next position, return the greedy next token."""
-        if self.pos >= self.cfg.max_seq:
-            raise SessionExhausted(f"session already holds {self.cfg.max_seq} tokens")
-        h = embed([token], self.p.embedding)
+        return self.prefill([token])
+
+    def prefill(self, tokens) -> int:
+        """Feed a block of tokens at the next positions, return the greedy next token.
+
+        Each op is one weighted call at step = the block's first
+        position, on the rows `block_rows` picks.  Attention runs row by
+        row on the cache prefix up to that row's position, so every float
+        reduction matches feeding the tokens one at a time, bit for bit.
+        `pos` advances only after the block, so it is the step of every
+        call.
+        """
+        tokens = list(tokens)
+        start, n = self.pos, len(tokens)
+        if start + n > self.cfg.max_seq:
+            raise SessionExhausted(
+                f"{n} tokens at position {start} overflow max_seq={self.cfg.max_seq}"
+            )
+        h = embed(tokens, self.p.embedding)
         for i in range(self.cfg.layers):
             xn = rms_norm(h, self.p.attn_gains[i])
             q, k, v = (
@@ -358,17 +388,27 @@ class DecoderEngine:
             )
             self.cache.append(i, k, v)
             keys, values = self.cache.view(i)
-            attn = attention_structural(q, keys, values, self.cfg.heads, self.pos)
-            h = ring_add(h, self._project(f"l{i}.wo", attn))
+            attn = np.vstack([
+                attention_structural(
+                    RingMatrix(q.data[r : r + 1], q.params),
+                    RingMatrix(keys.data[: start + r + 1], keys.params),
+                    RingMatrix(values.data[: start + r + 1], values.params),
+                    self.cfg.heads,
+                    start + r,
+                ).data
+                for r in range(n)
+            ])
+            h = ring_add(h, self._project(f"l{i}.wo", RingMatrix(attn, q.params)))
             xn = rms_norm(h, self.p.mlp_gains[i])
             up = silu(self._project(f"l{i}.wup", xn))
             h = ring_add(h, self._project(f"l{i}.wdown", up))
-        logits = self._project(HEAD_OP, rms_norm(h, self.p.final_gain))
-        self.pos += 1
+        last = RingMatrix(h.data[block_rows(HEAD_OP, n)], h.params)
+        logits = self._project(HEAD_OP, rms_norm(last, self.p.final_gain))
+        self.pos += n
         return argmax_token(logits)
 
     def generate(self, prompt, max_new: int) -> list[int]:
-        """Run the prompt, then decode until EOS or max_new tokens.
+        """Prefill the prompt as one block, then decode until EOS or max_new tokens.
 
         Returns only the response (EOS included when it terminates
         generation).  Every produced token except the last is fed back,
@@ -387,10 +427,7 @@ class DecoderEngine:
             raise SessionExhausted(
                 f"prompt of {len(prompt)} tokens leaves no room to decode (max_seq={self.cfg.max_seq})"
             )
-        nxt = 0
-        for t in prompt:
-            nxt = self.decode_step(t)
-        out = [nxt]
+        out = [self.prefill(prompt)]
         while len(out) < max_new and out[-1] != self.cfg.eos_id:
             out.append(self.decode_step(out[-1]))
         return out

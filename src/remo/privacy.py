@@ -240,10 +240,6 @@ class StackingReport:
     stacked_rows: int
     max_abs_err: float | None  # dequantized weight-scale error when solvable
 
-    @property
-    def unique_solution(self) -> bool:
-        return self.max_abs_err is not None
-
 
 def stacking_attack_demo(
     sketches: list[tuple[RingMatrix, RingMatrix]], true_w: RingMatrix, tol: float = 1e-6

@@ -518,11 +518,13 @@ class Enclave:
         return Session(session_id=sid, prg=self._master.child("session", sid))
 
     def run_session(self, transport, prompt, max_new: int) -> list[int]:
-        """Setup if needed, then the full per-token loop for one prompt.
+        """Setup if needed, then prefill and decode one prompt.
 
-        Opens a provider session, feeds the prompt and decodes up to
-        `max_new` tokens with every weighted op masked, outsourced and
-        recovered, and closes the session even when decoding fails.
+        Opens a provider session, prefills the prompt with one request
+        per weighted op (step 0, one row per prompt token; `head` gets the
+        last row only), decodes up to `max_new` tokens with one request
+        per op per step, every product masked, outsourced and recovered,
+        and closes the session even when decoding fails.
         """
         self.setup(transport)
         session = self._new_session()

@@ -17,7 +17,7 @@ from remo.attack import (
     train_centroids,
 )
 from remo.errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
-from remo.model import ModelConfig, init_weights, rms_norm
+from remo.model import ModelConfig, init_weights, reference_generate, rms_norm
 from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState
 from remo.ring import QuantParams, dequantize, quantize
 
@@ -73,6 +73,23 @@ def test_collect_views_labels_and_taps(toy_weights):
     assert np.array_equal(first, dequantize(x0)[0])
 
 
+def test_collect_views_labels_each_row_with_its_position(toy_weights):
+    # l0.wqkv sees every fed position; head sees the prompt's last row, then each decode step
+    provider = ProviderState(toy_weights.provider_view(), P)
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
+    prompts = make_corpus(2, 5, 64, seed=11)
+    responses = [reference_generate(toy_weights, p, 3) for p in prompts]
+    for op_id, fed, in_prompt in (
+        ("l0.wqkv", lambda p, r: p + r[:-1], [True] * 5 + [False] * 2),
+        ("head", lambda p, r: p[-1:] + r[:-1], [True, False, False]),
+    ):
+        views = collect_views(
+            toy_weights, enclave, InProcTransport(provider), prompts, op_id, max_new=3
+        )
+        assert views.labels.tolist() == [t for p, r in zip(prompts, responses) for t in fed(p, r)]
+        assert views.is_prompt.tolist() == in_prompt * 2
+
+
 def test_collect_views_masked_rows_match_wire(toy_weights):
     from remo.protocol import Transcript
 
@@ -82,11 +99,12 @@ def test_collect_views_masked_rows_match_wire(toy_weights):
     prompts = make_corpus(2, 5, 64, seed=10)
     views = collect_views(toy_weights, enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=2)
     wire_rows = [
-        dequantize(e.message.masked)[0]
+        row
         for e in transcript.entries
         if isinstance(e.message, MatMulRequest) and e.message.op_id == "l0.wqkv"
+        for row in dequantize(e.message.masked)
     ]
-    assert len(wire_rows) == len(views)
+    assert len(wire_rows) == len(views) == 2 * (5 + 1)
     for got, want in zip(views.masked_rows, wire_rows):
         assert np.array_equal(got, want)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remo.errors import (
     BadDims,
@@ -263,6 +265,67 @@ def test_no_plaintext_row_outsourced_twice_in_a_step(toy_weights):
     for step, rows in by_step.items():
         assert len(rows) == len(CFG.op_ids())
         assert len(set(rows)) == len(rows), f"step {step} sends one input to several ops"
+
+
+# --- batched prefill ---------------------------------------------------------------------
+
+# toy, the d=256 model of WIDE_GOLDEN, and one with an odd head width and three layers
+PREFILL_CFGS = {
+    "toy": CFG,
+    "wide": ModelConfig(vocab=256, d=256, layers=2, heads=8, d_ff=1024),
+    "d36": ModelConfig(vocab=64, d=36, layers=3, heads=6, d_ff=72),
+}
+
+
+@pytest.fixture(scope="module")
+def prefill_weights():
+    return {name: init_weights(cfg, seed=21) for name, cfg in PREFILL_CFGS.items()}
+
+
+@settings(max_examples=24, deadline=None)
+@given(data=st.data())
+def test_prefill_matches_serial_decoding_bit_for_bit(prefill_weights, data):
+    name = data.draw(st.sampled_from(sorted(PREFILL_CFGS)), label="config")
+    cfg = PREFILL_CFGS[name]
+    n = data.draw(st.integers(1, cfg.max_seq - 1), label="prompt_len")
+    prompt = data.draw(st.lists(st.integers(0, cfg.vocab - 1), min_size=n, max_size=n))
+    serial, batched = make_engine(prefill_weights[name]), make_engine(prefill_weights[name])
+    for t in prompt:
+        want = serial.decode_step(t)
+    assert batched.prefill(prompt) == want
+    assert batched.pos == serial.pos == n
+    for layer in range(cfg.layers):
+        assert batched.cache.length(layer) == n
+        for a, b in zip(batched.cache.view(layer), serial.cache.view(layer)):
+            assert a.data.tobytes() == b.data.tobytes()
+    for _ in range(min(3, cfg.max_seq - n)):
+        nxt = serial.decode_step(want)
+        assert batched.decode_step(want) == nxt
+        want = nxt
+
+
+def test_prefill_sends_each_op_once_at_the_block_start(toy_weights):
+    from remo.model import DecoderEngine
+
+    ops = _RecordingOps(toy_weights.provider_view())
+    engine = DecoderEngine(toy_weights.enclave_view(), ops)
+    engine.decode_step(5)
+    engine.prefill([3, 1, 4, 1])
+    rows = {op: len(raw) // (8 * CFG.op_dims(op)[0]) for _, op, raw in ops.inputs[9:]}
+    assert [(step, op) for step, op, _ in ops.inputs[9:]] == [(1, op) for op in CFG.op_ids()]
+    assert rows == {op: 1 if op == "head" else 4 for op in CFG.op_ids()}
+    assert engine.pos == 5
+
+
+def test_prefill_overflow_is_refused_before_any_product(toy_weights):
+    from remo.model import DecoderEngine
+
+    ops = _RecordingOps(toy_weights.provider_view())
+    engine = DecoderEngine(toy_weights.enclave_view(), ops)
+    engine.decode_step(5)
+    with pytest.raises(SessionExhausted):
+        engine.prefill([1] * CFG.max_seq)
+    assert len(ops.inputs) == len(CFG.op_ids()) and engine.pos == 1
 
 
 # --- weight file -----------------------------------------------------------------------

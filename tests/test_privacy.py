@@ -231,14 +231,20 @@ def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
     }
     assert set(kernels) == set(toy_weights.config.op_ids())
     pairs = set()
+    rows: dict[str, int] = {}
     for pi, msg in requests:
         n = kernels[msg.op_id]
         assert n.cols == msg.masked.cols // 2
         projected = ring_matmul(msg.masked, n)
         assert projected == ring_matmul(raw[pi, msg.step, msg.op_id], n)
+        rows[msg.op_id] = rows.get(msg.op_id, 0) + msg.masked.rows
         if msg.op_id == "l0.wqkv":
-            pairs.add((fed[pi, msg.step], int(projected.data[0, 0])))
-    assert len(requests) == 110 * len(kernels)
+            pairs.update(
+                (fed[pi, msg.step + r], int(v)) for r, v in enumerate(projected.data[:, 0])
+            )
+    # per prompt: one 8-row prefill request per op (1 row for head), then 3 decode steps
+    assert len(requests) == 40 * len(kernels)
+    assert rows == {op: 40 if op == "head" else 110 for op in kernels}
     tokens = {t for t, _ in pairs}
     assert len(tokens) == len({v for _, v in pairs}) == len(pairs) > 40
 

@@ -140,6 +140,43 @@ def test_session_reuses_pools_for_second_prompt(toy_world):
     assert b == reference_generate(weights, [4, 5, 6], 4)
 
 
+def test_prompt_is_one_request_per_op_before_the_first_token(toy_world):
+    weights, _, enclave, transport, transcript = toy_world
+    cfg = weights.config
+    prompt = [3, 1, 4, 1, 5, 9, 2]
+    enclave.run_session(transport, prompt, 5)
+    requests = [e.message for e in transcript.entries if isinstance(e.message, MatMulRequest)]
+    prefill = [(m.step, m.op_id, m.masked.rows) for m in requests if m.step < len(prompt)]
+    assert len(prefill) == 4 * cfg.layers + 1
+    assert prefill == [(0, op, 1 if op == "head" else len(prompt)) for op in cfg.op_ids()]
+    decode_steps = sorted({m.step for m in requests if m.step >= len(prompt)})
+    assert decode_steps == list(range(len(prompt), len(prompt) + 4))
+
+
+def test_step_and_op_never_repeat_in_a_session(toy_world):
+    _, _, enclave, transport, transcript = toy_world
+    for prompt in ([5], [1, 2, 3], list(range(20))):
+        enclave.run_session(transport, prompt, 6)
+    keys = [
+        (e.message.session, e.message.step, e.message.op_id)
+        for e in transcript.entries
+        if isinstance(e.message, MatMulRequest)
+    ]
+    assert len(keys) > 3 * 9 and len(set(keys)) == len(keys)
+
+
+def test_longest_prompt_decodes_and_a_full_one_sends_nothing(toy_world):
+    weights, _, enclave, transport, transcript = toy_world
+    max_seq = weights.config.max_seq
+    longest = [int(t) for t in np.random.default_rng(8).integers(0, 64, max_seq - 1)]
+    # one free position: the prefill token is fed back once
+    assert enclave.run_session(transport, longest, 2) == reference_generate(weights, longest, 2)
+    start = len(transcript.entries)
+    with pytest.raises(errors.SessionExhausted):
+        enclave.run_session(transport, longest + [1], 4)
+    assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries[start:])
+
+
 def test_session_negative_max_new_sends_no_matmul(toy_world):
     _, _, enclave, transport, transcript = toy_world
     with pytest.raises(errors.BadDims):
