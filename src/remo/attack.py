@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
+from .errors import BadParams, EmptyClass, LengthMismatch, ProtocolError
 from .model import DecoderEngine, LocalWeightedOps, ModelWeights, block_rows
 from .protocol import MatMulRequest
 from .ring import RingMatrix, dequantize
@@ -37,7 +37,7 @@ def make_corpus(
         weights /= weights.sum()
         draw = lambda: rng.choice(vocab, size=length, p=weights)
     else:
-        raise ValueError(f"unknown corpus kind {kind!r}")
+        raise BadParams(f"unknown corpus kind {kind!r}; use 'uniform' or 'zipf'")
     return [[int(t) for t in draw()] for _ in range(n_prompts)]
 
 
@@ -85,8 +85,7 @@ def collect_views(
     steps and row counts of the op's requests, differ from the
     reference, because its rows could not be aligned.
     """
-    if op_id not in enclave.cfg.op_ids():
-        raise UnknownOp(f"no weighted op {op_id!r}; the model has {enclave.cfg.op_ids()}")
+    enclave.cfg.op_dims(op_id)  # UnknownOp before any session
     params = weights.enclave_view()
     local = LocalWeightedOps(weights.provider_view())
     raw, masked, labels, is_prompt, prompt_idx = [], [], [], [], []

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import sys
 import time
@@ -39,9 +38,7 @@ from .protocol import (
     audit_transcript,
     encode_message,
 )
-from .ring import QuantParams
-
-ENV_SEED = "REMO_SEED"
+from .ring import QuantParams, ring_kernel
 
 
 @dataclass
@@ -59,12 +56,8 @@ class RunConfig:
     f: int = 16
     # masking
     mask_ratio: float = 0.5
-    # seeds: master plus optional per-purpose overrides (-1 = derive from master)
+    # master seed; model, session, corpus and trial seeds derive from it
     seed: int = 1
-    model_seed: int = -1
-    session_seed: int = -1
-    corpus_seed: int = -1
-    trial_seed: int = -1
     # transport: "inproc" or "tcp:HOST:PORT"
     transport: str = "inproc"
     timeout_s: float = 30.0
@@ -96,9 +89,6 @@ class RunConfig:
         )
 
     def seed_for(self, purpose: str) -> int:
-        explicit = getattr(self, f"{purpose}_seed")
-        if explicit >= 0:
-            return explicit
         digest = hashlib.sha256(f"remo:{self.seed}:{purpose}".encode()).digest()
         return int.from_bytes(digest[:8], "little") >> 1
 
@@ -120,7 +110,10 @@ def load_config(path) -> RunConfig:
     """Parse flat key=value config; unknown keys are an error."""
     cfg = RunConfig()
     by_name = {f.name: f for f in fields(RunConfig)}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read config {path}: {exc.strerror}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -190,7 +183,9 @@ def _open_transport(cfg: RunConfig, provider: ProviderState):
     if cfg.transport == "inproc":
         return InProcTransport(provider)
     if cfg.transport.startswith("tcp:"):
-        _, host, port = cfg.transport.split(":", 2)
+        host, _, port = cfg.transport[4:].rpartition(":")
+        if not (host and port.isdigit() and int(port) < 1 << 16):
+            raise ParseError(f"transport {cfg.transport!r} is not tcp:HOST:PORT")
         return TcpTransport(host, int(port), timeout=cfg.timeout_s)
     raise ParseError(f"unknown transport {cfg.transport!r}")
 
@@ -308,6 +303,7 @@ def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
+    cfg.model_config().op_dims(cfg.attack_op)  # UnknownOp before the game runs
     trial_seed = cfg.seed_for("trial")
     game_rows = []
     game_pass = True
@@ -333,16 +329,16 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     kernel_pass = True
     for op_id in cfg.model_config().op_ids():
         base = enclave.bases[op_id]
-        space = pv.kernel_analysis(base.public_base)
+        rank, kernel = ring_kernel(base.public_base)
         want = base.d - base.m
-        ok = space.kernel_dim == want and space.rank + space.kernel_dim == base.d
+        ok = kernel.cols == want and rank + kernel.cols == base.d
         kernel_pass &= ok
-        kernel_rows.append([op_id, base.m, base.d, space.rank, space.kernel_dim, str(ok).lower()])
-        print(f"kernel {op_id}: rank={space.rank} dim={space.kernel_dim} (d-m={want}) "
+        kernel_rows.append([op_id, base.m, base.d, rank, kernel.cols, str(ok).lower()])
+        print(f"kernel {op_id}: rank={rank} dim={kernel.cols} (d-m={want}) "
               f"[{'pass' if ok else 'FAIL'}]")
 
     base = enclave.bases[cfg.attack_op]
-    _, candidates = pv.enumerate_consistent_weights(base.public_base, base.pool, cfg.consistent_count)
+    candidates = pv.enumerate_consistent_weights(base.public_base, base.pool, cfg.consistent_count)
     residuals = [pv.residual_inf(base.public_base, w, base.pool) for w in candidates]
     distinct = len(set(candidates)) == len(candidates)
     consistent_ok = all(r <= 1e-9 for r in residuals) and distinct
@@ -433,9 +429,6 @@ def main(argv=None) -> int:
             override = getattr(args, f.name, None)
             if override is not None:
                 setattr(cfg, f.name, override)
-        env_seed = os.environ.get(ENV_SEED)
-        if env_seed is not None:
-            cfg.seed = int(env_seed)
         if args.command == "serve":
             return cmd_serve(cfg)
         handler = {

@@ -2,7 +2,9 @@
 
 Setup releases a single random m x d public base per weight matrix
 (m < d, so the provider-side product reveals only an underdetermined
-sketch of the weights) and stores the returned restoration pool.  At
+sketch of the weights) and keeps it, with the restoration pool the
+provider returns for it, as one immutable MaskBase.  The provider
+refuses a second base for an op; the issuer here only draws bases.  At
 every decoding step the enclave draws a fresh private n x m mixing
 matrix (one row per input row, so a prefilled prompt block is masked in
 one draw), applies the additive mask E + M_pvt @ M_pub, and later removes
@@ -23,39 +25,36 @@ is a direction of W exposed to the enclave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, ShapeMismatch, SketchReissue
+from .errors import BadDims, ShapeMismatch
 from .prg import PrgKey
 from .ring import QuantParams, RingMatrix, ring_add, ring_matmul, ring_sub
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskBase:
-    """Per-weight-matrix public base and (once installed) restoration pool.
+    """One weighted op's m x d public base and its m x d_out restoration pool.
 
+    `Enclave.setup` builds one only after the pool has arrived and fits
+    the base (m rows, the base's params), so every base in use has one.
     The pool holds the raw ring product of the base with the weight
     matrix, i.e. at fixed-point scale 2f: recovery must subtract it from
     the equally raw masked product before any rescaling.
     """
 
-    op_id: str
-    m: int
-    d: int
     public_base: RingMatrix
-    pool: RingMatrix | None = None
+    pool: RingMatrix
 
-    def install_pool(self, reply: RingMatrix) -> "MaskBase":
-        if self.pool is not None:
-            raise SketchReissue(f"pool for {self.op_id!r} already installed")
-        if reply.rows != self.m:
-            raise ShapeMismatch(f"pool for {self.op_id!r} must have {self.m} rows, got {reply.rows}")
-        if reply.params != self.public_base.params:
-            raise ShapeMismatch("pool params differ from base params")
-        self.pool = reply
-        return self
+    @property
+    def m(self) -> int:
+        return self.public_base.rows
+
+    @property
+    def d(self) -> int:
+        return self.public_base.cols
 
 
 def _gf2_row_rank(rows: list[int]) -> int:
@@ -81,29 +80,24 @@ def _full_row_rank(matrix: RingMatrix) -> bool:
     return _gf2_row_rank(rows) == matrix.rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskIssuer:
-    """Generates public bases, enforcing the one-base-per-op rule."""
+    """Draws full-row-rank public bases, deterministic per op id."""
 
     prg: PrgKey
     params: QuantParams
-    issued: set = field(default_factory=set)
 
-    def gen_public_base(self, op_id: str, m: int, d: int) -> MaskBase:
+    def gen_public_base(self, op_id: str, m: int, d: int) -> RingMatrix:
         if m >= d:
             raise BadDims(f"sketch rows m={m} must be < input dim d={d}")
         if m < 1:
             raise BadDims("need m >= 1")
-        if op_id in self.issued:
-            raise SketchReissue(f"public base for {op_id!r} was already issued")
         attempt = 0
         while True:
             base = self.prg.ring_matrix(m, d, self.params, "public-base", op_id, attempt)
             if _full_row_rank(base):
-                break
+                return base
             attempt += 1  # rank deficiency has probability ~2^-(d-m); retry deterministically
-        self.issued.add(op_id)
-        return MaskBase(op_id=op_id, m=m, d=d, public_base=base)
 
 
 def derive_step_mask(

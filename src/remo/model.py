@@ -9,11 +9,11 @@ else (RMSNorm, attention scores/softmax, SiLU, residuals, greedy
 sampling) is "structural": computed on dequantized reals inside the
 enclave and re-quantized at the boundary.
 
-A prompt is fed as one block (one n-row product per op, with attention
-still computed row by row over the causal cache prefix), and each later
-token as a block of one; a prompt fed as one block or token by token
-gives bit-identical caches and tokens.  The same DecoderEngine drives
-both the partitioned pipeline and the single-party reference pipeline;
+A prompt is fed as one block (one n-row product per op, and one
+attention call in which each row reads its causal cache prefix), and
+each later token as a block of one; a prompt fed as one block or token
+by token gives bit-identical caches and tokens.  The same DecoderEngine
+drives both the partitioned pipeline and the single-party reference pipeline;
 they differ only in the callable that evaluates weighted ops, so any
 divergence between them is a protocol bug, not a modelling artifact.
 """
@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BadDims,
+    BadParams,
     CacheInconsistent,
     DecodeError,
     EmptyInput,
@@ -34,6 +35,7 @@ from .errors import (
     SessionExhausted,
     ShapeMismatch,
     TokenOutOfRange,
+    UnknownOp,
 )
 from .ring import (
     QuantParams,
@@ -68,13 +70,13 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.vocab < 2:
-            raise ValueError("vocab must be >= 2")
+            raise BadParams(f"vocab must be >= 2, got {self.vocab}")
         if min(self.d, self.layers, self.heads, self.d_ff, self.max_seq) < 1:
-            raise ValueError("all dims must be >= 1")
+            raise BadParams("all dims must be >= 1")
         if self.d % self.heads != 0:
-            raise ValueError("d must be divisible by heads")
+            raise BadParams(f"d={self.d} must be divisible by heads={self.heads}")
         if not (0 <= self.eos_id < self.vocab):
-            raise ValueError("eos_id must be a valid token id")
+            raise BadParams(f"eos_id {self.eos_id} is not a token id of vocab {self.vocab}")
 
     @property
     def d_head(self) -> int:
@@ -86,7 +88,9 @@ class ModelConfig:
         return ids
 
     def op_dims(self, op_id: str) -> tuple[int, int]:
-        """(input dim, output dim) of a weighted op."""
+        """(input dim, output dim) of a weighted op; UnknownOp for an id not in `op_ids`."""
+        if op_id not in self.op_ids():
+            raise UnknownOp(f"no weighted op {op_id!r}; the model has {self.op_ids()}")
         if op_id == HEAD_OP:
             return self.d, self.vocab
         name = op_id.split(".", 1)[-1]
@@ -96,9 +100,7 @@ class ModelConfig:
             return self.d, self.d_ff
         if name == "wdown":
             return self.d_ff, self.d
-        if name in _LAYER_OPS:
-            return self.d, self.d
-        raise KeyError(op_id)
+        return self.d, self.d
 
 
 @dataclass
@@ -291,37 +293,46 @@ class KVCache:
         return self._len[layer]
 
     def view(self, layer: int) -> tuple[RingMatrix, RingMatrix]:
+        """Read-only views of the filled key and value rows; later appends
+        write past them, so a view never changes."""
         n = self._len[layer]
         return (
-            RingMatrix(self._k[layer][:n].copy(), self._params),
-            RingMatrix(self._v[layer][:n].copy(), self._params),
+            RingMatrix(self._k[layer][:n], self._params),
+            RingMatrix(self._v[layer][:n], self._params),
         )
 
 
 def attention_structural(
     q: RingMatrix, keys: RingMatrix, values: RingMatrix, heads: int, position: int
 ) -> RingMatrix:
-    """Causal scaled dot-product attention for the row at `position`.
+    """Causal scaled dot-product attention for a block of query rows.
 
-    Keys/values must already contain that position; scores and softmax
-    run on dequantized reals, the context row is re-quantized.
+    Row r of `q` sits at `position + r` and attends to the key/value
+    prefix [0, position + r], so keys/values must hold exactly
+    `position + q.rows` rows.  Each row's scores and softmax run on
+    dequantized reals over its own prefix, as if it were fed alone, and
+    the context rows are re-quantized.
     """
     if keys.rows != values.rows:
         raise ShapeMismatch("key/value cache lengths differ")
-    if keys.rows != position + 1:
-        raise CacheInconsistent(f"cache has {keys.rows} rows but position is {position}")
-    d = q.cols
+    if keys.rows != position + q.rows:
+        raise CacheInconsistent(
+            f"cache has {keys.rows} rows but the block is {q.rows} rows at position {position}"
+        )
+    n, d = q.shape
     d_head = d // heads
-    qd = dequantize(q).reshape(heads, d_head)
+    qd = dequantize(q).reshape(n, heads, d_head)
     kd = dequantize(keys).reshape(-1, heads, d_head)
     vd = dequantize(values).reshape(-1, heads, d_head)
-    out = np.empty((1, d))
-    for h in range(heads):
-        scores = kd[:, h, :] @ qd[h] / np.sqrt(d_head)
-        scores -= scores.max()
-        w = np.exp(scores)
-        w /= w.sum()
-        out[0, h * d_head : (h + 1) * d_head] = w @ vd[:, h, :]
+    out = np.empty((n, d))
+    for r in range(n):
+        end = position + r + 1
+        for h in range(heads):
+            scores = kd[:end, h, :] @ qd[r, h] / np.sqrt(d_head)
+            scores -= scores.max()
+            w = np.exp(scores)
+            w /= w.sum()
+            out[r, h * d_head : (h + 1) * d_head] = w @ vd[:end, h, :]
     return quantize(out, q.params)
 
 
@@ -367,11 +378,11 @@ class DecoderEngine:
         """Feed a block of tokens at the next positions, return the greedy next token.
 
         Each op is one weighted call at step = the block's first
-        position, on the rows `block_rows` picks.  Attention runs row by
-        row on the cache prefix up to that row's position, so every float
-        reduction matches feeding the tokens one at a time, bit for bit.
-        `pos` advances only after the block, so it is the step of every
-        call.
+        position, on the rows `block_rows` picks.  One attention call
+        covers the block, each row over the cache prefix up to its own
+        position, so every float reduction matches feeding the tokens one
+        at a time, bit for bit.  `pos` advances only after the block, so
+        it is the step of every call.
         """
         tokens = list(tokens)
         start, n = self.pos, len(tokens)
@@ -388,17 +399,8 @@ class DecoderEngine:
             )
             self.cache.append(i, k, v)
             keys, values = self.cache.view(i)
-            attn = np.vstack([
-                attention_structural(
-                    RingMatrix(q.data[r : r + 1], q.params),
-                    RingMatrix(keys.data[: start + r + 1], keys.params),
-                    RingMatrix(values.data[: start + r + 1], values.params),
-                    self.cfg.heads,
-                    start + r,
-                ).data
-                for r in range(n)
-            ])
-            h = ring_add(h, self._project(f"l{i}.wo", RingMatrix(attn, q.params)))
+            attn = attention_structural(q, keys, values, self.cfg.heads, start)
+            h = ring_add(h, self._project(f"l{i}.wo", attn))
             xn = rms_norm(h, self.p.mlp_gains[i])
             up = silu(self._project(f"l{i}.wup", xn))
             h = ring_add(h, self._project(f"l{i}.wdown", up))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadParams
 from .ring import QuantParams, RingMatrix
 
 SEED_BYTES = 32  # kappa = 256
@@ -27,7 +28,7 @@ def _label_bytes(label) -> bytes:
     elif isinstance(label, int):
         b = label.to_bytes(16, "little", signed=True)
     else:
-        raise TypeError(f"unsupported label type {type(label)!r}")
+        raise BadParams(f"unsupported label type {type(label)!r}")
     # length-prefixed so label tuples cannot collide by concatenation
     return len(b).to_bytes(4, "little") + b
 
@@ -41,7 +42,7 @@ class PrgKey:
 
     def __post_init__(self) -> None:
         if len(self.seed) != SEED_BYTES:
-            raise ValueError(f"seed must be {SEED_BYTES} bytes")
+            raise BadParams(f"seed must be {SEED_BYTES} bytes, got {len(self.seed)}")
 
     @classmethod
     def from_int(cls, seed: int, *domain) -> "PrgKey":

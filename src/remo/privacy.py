@@ -12,11 +12,11 @@ Three independent verifications:
   a grid-integration cross-check in up to 3 dimensions.
 
 * Sketch algebra over Z_2^k, the ring the provider's replies live in:
-  rank and right kernel of a public base by odd-pivot elimination
-  (`ring.ring_kernel`; kernel dimension d - m makes the weights
-  non-identifiable from one sketch), explicit enumeration of distinct
-  ring weights W0 + N @ Z that reproduce the pool exactly, and a
-  rule-violating stacking demo showing that independent extra sketches
+  with the rank and right kernel of a public base from odd-pivot
+  elimination (`ring.ring_kernel`; kernel dimension d - m makes the
+  weights non-identifiable from one sketch), explicit enumeration of
+  distinct ring weights W0 + N @ Z that reproduce the pool exactly, and
+  a rule-violating stacking demo showing that independent extra sketches
   collapse the kernel and surrender the weights.
 
 Bound experiments run on real-valued uniform masks, matching the
@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, DimTooLarge, ProtocolError, TrivialKernel
+from .errors import BadDims, BadParams, DimTooLarge, ProtocolError, ShapeMismatch, TrivialKernel
 from .prg import PrgKey
 from .ring import (
     QuantParams,
     RingMatrix,
     ring_add,
-    ring_kernel,
     ring_matmul,
     ring_solve,
     ring_sub,
@@ -50,7 +49,7 @@ from .ring import (
 def tv_bound(e1, e2, lam: float) -> float:
     """Upper bound on optimal distinguishing success: 1/2 + 1/2 min(||d||_1/lam, 1)."""
     if lam <= 0:
-        raise ValueError("lambda must be positive")
+        raise BadParams(f"lambda must be positive, got {lam}")
     l1 = float(np.sum(np.abs(np.asarray(e1, dtype=np.float64) - np.asarray(e2, dtype=np.float64))))
     return 0.5 + 0.5 * min(l1 / lam, 1.0)
 
@@ -59,7 +58,7 @@ def tv_box_closed_form(delta, lam: float) -> float:
     """Exact TV of two width-lam uniform boxes shifted by delta:
     1 - prod_i max(1 - |delta_i|/lam, 0)."""
     if lam <= 0:
-        raise ValueError("lambda must be positive")
+        raise BadParams(f"lambda must be positive, got {lam}")
     a = np.abs(np.asarray(delta, dtype=np.float64)) / lam
     return float(1.0 - np.prod(np.maximum(1.0 - a, 0.0)))
 
@@ -105,11 +104,11 @@ class GameConfig:
         object.__setattr__(self, "e1", np.asarray(self.e1, dtype=np.float64).ravel())
         object.__setattr__(self, "e2", np.asarray(self.e2, dtype=np.float64).ravel())
         if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise BadParams(f"lambda must be positive, got {self.lam}")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise BadParams(f"need at least one trial, got {self.trials}")
         if self.e1.shape != self.e2.shape:
-            raise ValueError("candidate inputs must have equal shape")
+            raise ShapeMismatch(f"candidate inputs differ in shape: {self.e1.shape} vs {self.e2.shape}")
 
 
 @dataclass(frozen=True)
@@ -167,28 +166,7 @@ def run_distinguishing_game(cfg: GameConfig, chunk: int = 200_000) -> BoundRepor
 # --- sketch algebra over the ring -------------------------------------------------
 
 
-@dataclass
-class SolutionSpace:
-    """Everything a curious client can pin down from one sketch, over Z_2^k."""
-
-    rank: int
-    kernel: RingMatrix  # d x (d - rank), M_pub @ kernel == 0
-    particular: RingMatrix | None = None  # d x d_out, M_pub @ particular == R_pub
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.kernel.cols
-
-
-def kernel_analysis(m_pub: RingMatrix) -> SolutionSpace:
-    """Rank and right-kernel basis of a public base over Z_2^k."""
-    rank, kernel = ring_kernel(m_pub)
-    return SolutionSpace(rank=rank, kernel=kernel)
-
-
-def enumerate_consistent_weights(
-    m_pub: RingMatrix, r_pub: RingMatrix, count: int
-) -> tuple[SolutionSpace, list[RingMatrix]]:
+def enumerate_consistent_weights(m_pub: RingMatrix, r_pub: RingMatrix, count: int) -> list[RingMatrix]:
     """`count` pairwise-distinct ring solutions of M_pub W' == R_pub, none equal to W0.
 
     The pool is the raw ring product M_pub @ W, so every W0 + N @ Z solves
@@ -208,7 +186,7 @@ def enumerate_consistent_weights(
         z = np.zeros((nb, d_out), dtype=np.uint64)
         z[i % nb, (i // nb) % d_out] = 1 + i // (nb * d_out)
         candidates.append(ring_add(particular, ring_matmul(kernel, RingMatrix(z, r_pub.params))))
-    return SolutionSpace(m_pub.cols - nb, kernel, particular), candidates
+    return candidates
 
 
 def residual_inf(m_pub: RingMatrix, w: RingMatrix, r_pub: RingMatrix) -> float:

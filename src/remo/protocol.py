@@ -8,7 +8,8 @@ matrices and per-op issue flags, never embeddings, tokens or KV data.
 Two interchangeable transports run the identical message flow: direct
 in-process calls and framed TCP (default port 7431).  A Transcript
 records every provider-visible message and can be audited for schema,
-masking uniformity and per-step freshness.
+masking uniformity and per-step freshness.  The enclave checks every
+reply it acts on in one place, `_expect`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +25,7 @@ from scipy.stats import chi2
 from . import errors
 from .errors import (
     AuditFail,
+    BadParams,
     BindFailure,
     DecodeError,
     LengthMismatch,
@@ -198,7 +199,6 @@ FROM_PROVIDER = 1
 @dataclass(frozen=True)
 class TranscriptEntry:
     direction: int
-    ts_ns: int
     message: Message
 
 
@@ -209,36 +209,11 @@ class Transcript:
     entries: list[TranscriptEntry] = field(default_factory=list)
 
     def append(self, direction: int, message: Message) -> None:
-        self.entries.append(TranscriptEntry(direction, time.monotonic_ns(), message))
+        self.entries.append(TranscriptEntry(direction, message))
 
     def frames(self) -> list[tuple[int, bytes]]:
-        """(direction, frame bytes) with timestamps stripped."""
+        """(direction, frame bytes) of every entry, in order."""
         return [(e.direction, encode_message(e.message)) for e in self.entries]
-
-    def dump(self, path) -> None:
-        with open(path, "wb") as fh:
-            for e in self.entries:
-                fh.write(bytes([e.direction]) + struct.pack("<Q", e.ts_ns) + encode_message(e.message))
-
-    @classmethod
-    def load(cls, path) -> "Transcript":
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        entries = []
-        offset = 0
-        while offset < len(buf):
-            if len(buf) - offset < 13:
-                raise LengthMismatch("truncated transcript entry")
-            direction = buf[offset]
-            (ts,) = struct.unpack_from("<Q", buf, offset + 1)
-            (length,) = struct.unpack_from("<I", buf, offset + 9)
-            end = offset + 13 + length
-            if end > len(buf):
-                raise LengthMismatch("truncated transcript frame")
-            msg = decode_message(buf[offset + 9 : end])
-            entries.append(TranscriptEntry(direction, ts, msg))
-            offset = end
-        return cls(entries)
 
 
 # --- provider -----------------------------------------------------------------
@@ -459,12 +434,17 @@ class ProviderServer:
 # --- enclave ------------------------------------------------------------------
 
 
-@dataclass
-class Session:
-    """Per-client enclave state: the session id and its PRG key."""
+def _expect(reply: Message, cls: type, **echo):
+    """`reply` if it is a `cls` whose fields equal `echo`.
 
-    session_id: int
-    prg: PrgKey
+    An ErrorReply is re-raised as the typed error it carries; any other
+    reply raises ProtocolError.
+    """
+    if isinstance(reply, ErrorReply):
+        raise errors.from_code(reply.code, reply.detail)
+    if type(reply) is not cls or any(getattr(reply, k) != v for k, v in echo.items()):
+        raise ProtocolError(f"expected {cls.__name__} echoing {echo}, got {reply!r}")
+    return reply
 
 
 class Enclave:
@@ -477,7 +457,7 @@ class Enclave:
 
     def __init__(self, params: EnclaveParams, master_seed: int, mask_ratio: float = 0.5):
         if not (0.0 < mask_ratio < 1.0):
-            raise ValueError("mask_ratio must be in (0, 1)")
+            raise BadParams(f"mask_ratio must be in (0, 1), got {mask_ratio}")
         self.params = params
         self.cfg: ModelConfig = params.config
         self.mask_ratio = mask_ratio
@@ -491,31 +471,27 @@ class Enclave:
         return max(1, int(d_in * self.mask_ratio))
 
     def setup(self, transport) -> None:
-        """Phase 1: release one public base per weighted op, store the pools.
+        """Phase 1: release one public base per weighted op, keep it with its pool.
 
-        Idempotent per enclave; the provider refuses re-issue anyway.
+        Idempotent per enclave: an op already in `bases` is skipped, and
+        the provider refuses a second base for an op.  A pool whose shape
+        or params do not fit its base raises ShapeMismatch and leaves the
+        op out of `bases`.
         """
         for op_id in self.cfg.op_ids():
             if op_id in self.bases:
                 continue
             d_in, d_out = self.cfg.op_dims(op_id)
-            base = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
-            reply = transport.request(SetupBase(op_id, base.public_base))
-            if isinstance(reply, ErrorReply):
-                raise errors.from_code(reply.code, reply.detail)
-            if not isinstance(reply, PoolReply) or reply.op_id != op_id:
-                raise ProtocolError(f"unexpected setup reply {reply!r}")
-            if reply.pool.shape != (base.m, d_out):
+            public_base = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
+            reply = transport.request(SetupBase(op_id, public_base))
+            pool = _expect(reply, PoolReply, op_id=op_id).pool
+            want = (public_base.rows, d_out)
+            if pool.shape != want or pool.params != public_base.params:
                 raise ShapeMismatch(
-                    f"pool for {op_id!r} has shape {reply.pool.shape}, expected {(base.m, d_out)}"
+                    f"pool for {op_id!r} is {pool!r}, expected {want[0]}x{want[1]} "
+                    f"with the base's {public_base.params}"
                 )
-            self.bases[op_id] = base.install_pool(reply.pool)
-
-    def _new_session(self) -> Session:
-        with self._lock:
-            self._session_counter += 1
-            sid = self._session_counter
-        return Session(session_id=sid, prg=self._master.child("session", sid))
+            self.bases[op_id] = MaskBase(public_base, pool)
 
     def run_session(self, transport, prompt, max_new: int) -> list[int]:
         """Setup if needed, then prefill and decode one prompt.
@@ -527,58 +503,43 @@ class Enclave:
         and closes the session even when decoding fails.
         """
         self.setup(transport)
-        session = self._new_session()
-        ack = transport.request(OpenSession(session.session_id))
-        if isinstance(ack, ErrorReply):
-            raise errors.from_code(ack.code, ack.detail)
-        engine = DecoderEngine(self.params, _MaskedWeightedOps(self, transport, session))
+        with self._lock:
+            self._session_counter += 1
+            sid = self._session_counter
+        _expect(transport.request(OpenSession(sid)), OpenSession, session=sid)
+        weighted = _MaskedWeightedOps(self.bases, transport, sid, self._master.child("session", sid))
         try:
-            return engine.generate(prompt, max_new)
+            return DecoderEngine(self.params, weighted).generate(prompt, max_new)
         finally:
             try:
-                transport.request(CloseSession(session.session_id))
+                transport.request(CloseSession(sid))  # its reply is not checked: this runs on failure too
             except TransportClosed:
                 pass
 
 
 class _MaskedWeightedOps:
-    """Weighted-op evaluator that masks, outsources and recovers."""
+    """One session's weighted-op evaluator: masks, outsources and recovers."""
 
-    def __init__(self, enclave: Enclave, transport, session: Session):
-        self.enclave = enclave
+    def __init__(self, bases: dict[str, MaskBase], transport, session_id: int, prg: PrgKey):
+        self.bases = bases
         self.transport = transport
-        self.session = session
+        self.session_id = session_id
+        self.prg = prg
         self.step = -1
         self.sent: set[str] = set()  # ops outsourced in self.step
 
     def __call__(self, op_id: str, x: RingMatrix, step: int) -> RingMatrix:
-        base = self.enclave.bases[op_id]
+        base = self.bases[op_id]
         if step != self.step:
             self.step, self.sent = step, set()
         if op_id in self.sent:
             raise ProtocolError(f"{op_id!r} outsourced twice in step {step}")
         self.sent.add(op_id)
-        m_pvt = derive_step_mask(self.session.prg, step, op_id, x.rows, base.m, x.params)
+        m_pvt = derive_step_mask(self.prg, step, op_id, x.rows, base.m, x.params)
         masked = mask_embedding(x, m_pvt, base.public_base)
-        reply = self.transport.request(
-            MatMulRequest(self.session.session_id, step, op_id, masked)
-        )
-        if isinstance(reply, ErrorReply):
-            raise errors.from_code(reply.code, reply.detail)
-        if not isinstance(reply, MatMulReply) or (reply.session, reply.step, reply.op_id) != (
-            self.session.session_id,
-            step,
-            op_id,
-        ):
-            raise ProtocolError(f"reply does not echo request: {reply!r}")
-        d_out = self.enclave.cfg.op_dims(op_id)[1]
-        if reply.product.shape != (x.rows, d_out):
-            raise ShapeMismatch(
-                f"product for {op_id!r} has shape {reply.product.shape}, expected {(x.rows, d_out)}"
-            )
-        if base.pool is None:
-            raise ProtocolError(f"no pool installed for {op_id!r}")
-        return recover(reply.product, m_pvt, base.pool)
+        reply = self.transport.request(MatMulRequest(self.session_id, step, op_id, masked))
+        reply = _expect(reply, MatMulReply, session=self.session_id, step=step, op_id=op_id)
+        return recover(reply.product, m_pvt, base.pool)  # raises ShapeMismatch on a bad product
 
 
 # --- transcript audit ----------------------------------------------------------

@@ -16,7 +16,7 @@ from remo.attack import (
     tra,
     train_centroids,
 )
-from remo.errors import EmptyClass, LengthMismatch, ProtocolError, UnknownOp
+from remo.errors import BadParams, EmptyClass, LengthMismatch, ProtocolError, UnknownOp
 from remo.model import ModelConfig, init_weights, reference_generate, rms_norm
 from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState
 from remo.ring import QuantParams, dequantize, quantize
@@ -46,7 +46,7 @@ def test_corpus_zipf_skews_low_ids():
 
 
 def test_corpus_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         make_corpus(1, 1, 64, seed=0, kind="gaussian")
 
 

@@ -40,6 +40,11 @@ def test_bad_value_rejected(tmp_path):
         load_config(write(tmp_path, "seed = banana\n"))
 
 
+def test_unreadable_config_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="absent.cfg"):
+        load_config(tmp_path / "absent.cfg")
+
+
 def test_missing_equals_rejected(tmp_path):
     with pytest.raises(ParseError):
         load_config(write(tmp_path, "just some words\n"))
@@ -101,13 +106,37 @@ def test_bench_is_not_a_command():
     assert exc.value.code == 2
 
 
-def test_env_seed_overrides(tmp_path, monkeypatch):
+def test_env_seed_overrides(tmp_path):
+    # `seed` is set by the config file or by --seed; there is no environment variable
     main(["demo", *small_args(tmp_path)])
     first = json.loads((tmp_path / "out" / "report.json").read_text())["prompt"]
-    monkeypatch.setenv(cli.ENV_SEED, "777")
-    main(["demo", *small_args(tmp_path)])
+    main(["demo", *small_args(tmp_path), "--seed", "777"])
     second = json.loads((tmp_path / "out" / "report.json").read_text())["prompt"]
     assert first != second
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, error",
+    [
+        ("demo", "mask_ratio = 1.5", [], "BadParams"),
+        ("demo", "vocab = 1", [], "BadParams"),
+        ("demo", "heads = 5", [], "BadParams"),
+        ("demo", "corpus_kind = text", [], "BadParams"),
+        ("demo", "", ["--transport", "tcp:localhost"], "ParseError"),
+        ("demo", "", ["--transport", "tcp:127.0.0.1:notaport"], "ParseError"),
+        ("privacy", "", ["--game-trials", "0"], "BadParams"),
+        ("privacy", "attack_op = nope", [], "UnknownOp"),
+    ],
+    ids=[
+        "mask_ratio", "vocab", "heads", "corpus_kind", "transport-no-port",
+        "transport-bad-port", "game_trials", "attack_op",
+    ],
+)
+def test_bad_input_exits_2_naming_the_error(tmp_path, capsys, command, config, flags, error):
+    # exit 1 means "a check failed"; a bad input must not read as one
+    args = [command, "--config", str(write(tmp_path, config + "\n")), "--out-dir", str(tmp_path / "out")]
+    assert main([*args, *flags]) == 2
+    assert f"error: {error}: " in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(tmp_path):
@@ -209,12 +238,10 @@ def test_privacy_negative_control_square_base(tmp_path):
     with pytest.raises(BadDims):
         issuer.gen_public_base("x", m=8, d=8)
     # and a hand-built square full-rank base has a zero-dimensional kernel
-    from remo.privacy import kernel_analysis
-    from remo.ring import RingMatrix
-    import numpy as np
+    from remo.ring import RingMatrix, ring_kernel
 
-    space = kernel_analysis(RingMatrix.from_ints(np.eye(8, dtype=int), QuantParams()))
-    assert space.kernel_dim == 0  # the privacy clause would fail here
+    _, kernel = ring_kernel(RingMatrix.from_ints(np.eye(8, dtype=int), QuantParams()))
+    assert kernel.cols == 0  # the privacy clause would fail here
 
 
 # --- latency -----------------------------------------------------------------------------

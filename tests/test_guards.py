@@ -1,8 +1,10 @@
 """Structural guards: the wire-error registry and the shape of the public API."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,22 @@ def test_unknown_error_code_is_protocol_error():
 def test_bad_ring_params_are_remo_errors():
     with pytest.raises(RemoError):
         QuantParams(k=65)
+
+
+def test_every_raise_names_a_remo_error():
+    # the CLI exits 2 on a RemoError; any other exception escapes as a traceback
+    remo_errors = {cls.__name__ for cls in _subclasses(RemoError)} | {"RemoError"}
+    offenders = []
+    for path in sorted(Path(remo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id not in remo_errors
+            ):
+                offenders.append(f"{path.name}:{node.lineno} raises {node.exc.func.id}")
+    assert not offenders
 
 
 def _public_callables():

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from remo.errors import (
     BadDims,
+    BadParams,
     CacheInconsistent,
     EmptyInput,
     LengthMismatch,
     SessionExhausted,
     TokenOutOfRange,
+    UnknownOp,
 )
 from remo.model import (
     KVCache,
@@ -123,6 +125,9 @@ def test_attention_cache_inconsistent():
     kv = quantize(rng.normal(size=(2, 8)), P)
     with pytest.raises(CacheInconsistent):
         attention_structural(q, kv, kv, heads=2, position=0)
+    block = quantize(rng.normal(size=(2, 8)), P)
+    with pytest.raises(CacheInconsistent):  # a 2-row block at position 1 needs 3 rows
+        attention_structural(block, kv, kv, heads=2, position=1)
 
 
 def test_causality_prefix_outputs_stable(toy_weights):
@@ -165,6 +170,20 @@ def test_kv_cache_append_and_view(toy_weights):
     k, v = cache.view(0)
     assert k == row and v == row
     assert cache.length(1) == 0
+
+
+def test_kv_cache_view_is_read_only_and_kept_by_later_appends():
+    cache = KVCache(CFG)
+    first, second = quantize(np.ones((1, CFG.d)), P), quantize(-np.ones((2, CFG.d)), P)
+    cache.append(0, first, first)
+    k, v = cache.view(0)
+    with pytest.raises(ValueError, match="read-only"):
+        k.data[0, 0] = 7
+    cache.append(0, second, second)
+    assert k == first and v == first
+    k3, _ = cache.view(0)
+    assert k3.rows == 3 and RingMatrix(k3.data[1:], P) == second
+    assert np.shares_memory(k.data, k3.data)  # views of the cache, not copies
 
 
 # --- engine / generate ----------------------------------------------------------------
@@ -354,9 +373,12 @@ def test_weight_file_trailing_bytes(tmp_path, toy_weights):
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         ModelConfig(vocab=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         ModelConfig(d=30, heads=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         ModelConfig(eos_id=64)
+    for op_id in ("nope", "l2.wqkv", "l0.wq"):
+        with pytest.raises(UnknownOp, match=op_id):
+            CFG.op_dims(op_id)

@@ -1,5 +1,6 @@
 """PRG determinism/uniformity and the hybrid masking contracts."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from scipy.stats import chi2
 
 from remo import Enclave, InProcTransport, ModelConfig, ProviderState, init_weights
-from remo.errors import BadDims, RemoError, ShapeMismatch, SketchReissue
+from remo.errors import BadDims, RemoError, ShapeMismatch
 from remo.masking import (
+    MaskBase,
     MaskIssuer,
     _full_row_rank,
     _gf2_row_rank,
@@ -18,6 +20,7 @@ from remo.masking import (
     recover,
 )
 from remo.prg import PrgKey
+from remo.protocol import PoolReply
 from remo.ring import QuantParams, RingMatrix, ring_kernel, ring_matmul, zeros
 
 P = QuantParams()
@@ -93,15 +96,8 @@ def test_gen_public_base_deterministic_and_full_rank():
     issuer = MaskIssuer(PrgKey.from_int(11), P)
     base = issuer.gen_public_base("q0", m=2, d=4)
     again = MaskIssuer(PrgKey.from_int(11), P).gen_public_base("q0", m=2, d=4)
-    assert base.public_base == again.public_base
-    assert rational_row_rank(base.public_base) == 2
-
-
-def test_gen_public_base_single_issue():
-    issuer = MaskIssuer(PrgKey.from_int(11), P)
-    issuer.gen_public_base("q0", m=2, d=4)
-    with pytest.raises(SketchReissue):
-        issuer.gen_public_base("q0", m=2, d=4)
+    assert base == again
+    assert rational_row_rank(base) == 2
 
 
 def test_gen_public_base_bad_dims():
@@ -114,7 +110,7 @@ def test_gen_public_base_rank_at_larger_shapes():
     issuer = MaskIssuer(PrgKey.from_int(5), P)
     for op, (m, d) in {"a": (16, 32), "b": (32, 64)}.items():
         base = issuer.gen_public_base(op, m=m, d=d)
-        assert rational_row_rank(base.public_base) == m
+        assert rational_row_rank(base) == m
 
 
 def bitwise_full_row_rank(matrix: RingMatrix) -> bool:
@@ -224,40 +220,39 @@ def test_wqkv_pool_is_the_column_concatenation(toy_weights):
         assert np.array_equal(base.pool.data, np.concatenate(parts, axis=1))
 
 
-# --- pool install ---------------------------------------------------------------
+# --- a base is born with its pool ---------------------------------------------
 
 
-def test_install_pool_shape_contract():
-    issuer = MaskIssuer(PrgKey.from_int(12), P)
-    base = issuer.gen_public_base("w", m=2, d=4)
-    ok = zeros(2, 4, P)
-    base.install_pool(ok)
-    assert base.pool == ok
+def test_mask_base_is_frozen_with_dims_from_its_base():
+    public_base = MaskIssuer(PrgKey.from_int(12), P).gen_public_base("w", m=2, d=4)
+    base = MaskBase(public_base, zeros(2, 3, P))
+    assert (base.m, base.d) == (2, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.pool = zeros(2, 3, P)
 
 
-def test_install_pool_wrong_rows():
-    issuer = MaskIssuer(PrgKey.from_int(12), P)
-    base = issuer.gen_public_base("w", m=2, d=4)
-    with pytest.raises(ShapeMismatch):
-        base.install_pool(zeros(3, 4, P))
+class _BadPool:
+    """Transport that answers one op's setup with a pool that does not fit its base."""
+
+    def __init__(self, inner, op_id: str, fault: str):
+        self.inner, self.op_id, self.fault = inner, op_id, fault
+
+    def request(self, msg):
+        reply = self.inner.request(msg)
+        if isinstance(reply, PoolReply) and reply.op_id == self.op_id:
+            data = reply.pool.data
+            pool = RingMatrix(data[1:], P) if self.fault == "rows" else RingMatrix(data, QuantParams(f=8))
+            return PoolReply(reply.op_id, pool)
+        return reply
 
 
-def test_install_pool_round_trip_matches_local_oracle():
-    rng = np.random.default_rng(8)
-    issuer = MaskIssuer(PrgKey.from_int(13), P)
-    base = issuer.gen_public_base("w", m=3, d=5)
-    w = RingMatrix.from_ints(rng.integers(0, 2**63, (5, 4)).tolist(), P)
-    pool = ring_matmul(base.public_base, w)  # what an honest provider returns
-    base.install_pool(pool)
-    assert base.pool == ring_matmul(base.public_base, w)
-
-
-def test_install_pool_immutable():
-    issuer = MaskIssuer(PrgKey.from_int(12), P)
-    base = issuer.gen_public_base("w2", m=2, d=4)
-    base.install_pool(zeros(2, 4, P))
-    with pytest.raises(SketchReissue):
-        base.install_pool(zeros(2, 4, P))
+@pytest.mark.parametrize("fault", ["rows", "params"])
+def test_setup_refuses_a_pool_that_does_not_fit_its_base(toy_weights, fault):
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=3)
+    provider = ProviderState(toy_weights.provider_view(), P)
+    with pytest.raises(ShapeMismatch, match="l0.wo"):
+        enclave.setup(_BadPool(InProcTransport(provider), "l0.wo", fault))
+    assert list(enclave.bases) == ["l0.wqkv"]  # the ops before it keep their pools
 
 
 # --- per-step private mixing ------------------------------------------------------

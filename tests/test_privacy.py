@@ -5,7 +5,7 @@ import pytest
 from conftest import slow_matmul
 
 from remo.attack import make_corpus
-from remo.errors import DimTooLarge, TrivialKernel
+from remo.errors import BadParams, DimTooLarge, ShapeMismatch, TrivialKernel
 from remo.masking import MaskIssuer
 from remo.model import DecoderEngine, LocalWeightedOps
 from remo.prg import PrgKey
@@ -13,7 +13,6 @@ from remo.privacy import (
     GameConfig,
     enumerate_consistent_weights,
     forge_sketch,
-    kernel_analysis,
     residual_inf,
     run_distinguishing_game,
     stacking_attack_demo,
@@ -22,7 +21,7 @@ from remo.privacy import (
     tv_exact_small,
 )
 from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState, SetupBase, Transcript
-from remo.ring import QuantParams, RingMatrix, quantize, ring_kernel, ring_matmul
+from remo.ring import QuantParams, RingMatrix, quantize, ring_kernel, ring_matmul, ring_solve
 
 P = QuantParams()
 
@@ -118,9 +117,9 @@ def test_game_multidim_stays_under_l1_bound():
 
 
 def test_game_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         GameConfig(e1=[0.0], e2=[1.0], lam=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         GameConfig(e1=[0.0], e2=[1.0, 2.0], lam=1.0)
 
 
@@ -132,31 +131,30 @@ def unit(rows) -> RingMatrix:
 
 
 def test_kernel_canonical_rows():
-    space = kernel_analysis(unit([[1, 0, 0], [0, 1, 0]]))
-    assert space.rank == 2
-    assert space.kernel_dim == 1
-    assert space.kernel.to_ints() == [[0], [0], [1]]
+    rank, kernel = ring_kernel(unit([[1, 0, 0], [0, 1, 0]]))
+    assert rank == 2
+    assert kernel.cols == 1
+    assert kernel.to_ints() == [[0], [0], [1]]
 
 
 def test_kernel_zero_matrix():
-    space = kernel_analysis(RingMatrix(np.zeros((2, 5), dtype=np.uint64), P))
-    assert space.rank == 0 and space.kernel_dim == 5
-    assert space.kernel == unit(np.eye(5, dtype=int))
+    rank, kernel = ring_kernel(RingMatrix(np.zeros((2, 5), dtype=np.uint64), P))
+    assert rank == 0 and kernel.cols == 5
+    assert kernel == unit(np.eye(5, dtype=int))
 
 
 def test_kernel_random_full_row_rank():
     issuer = MaskIssuer(PrgKey.from_int(77), P)
     base = issuer.gen_public_base("op", m=6, d=11)
-    space = kernel_analysis(base.public_base)
-    assert space.rank == 6
-    assert space.kernel_dim == 11 - 6
-    assert space.rank + space.kernel_dim == 11
+    rank, kernel = ring_kernel(base)
+    assert rank == 6
+    assert kernel.cols == 11 - 6
     # independent checks: numpy rank agrees, the basis annihilates in Python
     # ints, and its rows at the free columns are the identity
-    float_rank = np.linalg.matrix_rank(base.public_base.signed().astype(np.float64))
+    float_rank = np.linalg.matrix_rank(base.signed().astype(np.float64))
     assert float_rank == 6
-    n = space.kernel.to_ints()
-    assert slow_matmul(base.public_base.to_ints(), n, 64) == [[0] * 5 for _ in range(6)]
+    n = kernel.to_ints()
+    assert slow_matmul(base.to_ints(), n, 64) == [[0] * 5 for _ in range(6)]
     free = [i for i, row in enumerate(n) if sorted(row) == [0, 0, 0, 0, 1]]
     assert [n[i] for i in free] == np.eye(5, dtype=int).tolist()
 
@@ -168,8 +166,8 @@ def test_consistent_weights_canonical_identity():
     m_pub = unit([[1, 0, 0], [0, 1, 0]])
     w = unit(np.eye(3, dtype=int))
     r_pub = ring_matmul(m_pub, w)
-    space, candidates = enumerate_consistent_weights(m_pub, r_pub, count=5)
-    w0 = space.particular
+    candidates = enumerate_consistent_weights(m_pub, r_pub, count=5)
+    w0, _ = ring_solve(m_pub, r_pub)
     assert len(set(candidates)) == 5
     for cand in candidates:
         assert residual_inf(m_pub, cand, r_pub) == 0.0
@@ -183,14 +181,14 @@ def test_consistent_weights_random_distinct():
     base = issuer.gen_public_base("op", m=4, d=8)
     rng = np.random.default_rng(0)
     w = RingMatrix.from_ints(rng.integers(0, 2**63, (8, 3)).tolist(), P)
-    r_pub = ring_matmul(base.public_base, w)
-    space, candidates = enumerate_consistent_weights(base.public_base, r_pub, count=10)
+    r_pub = ring_matmul(base, w)
+    candidates = enumerate_consistent_weights(base, r_pub, count=10)
     assert len(candidates) == 10
     assert len(set(candidates)) == 10
-    assert space.particular not in candidates  # zero perturbation is rejected
+    assert ring_solve(base, r_pub)[0] not in candidates  # zero perturbation is rejected
     for cand in candidates:
-        assert residual_inf(base.public_base, cand, r_pub) == 0.0
-        assert slow_matmul(base.public_base.to_ints(), cand.to_ints(), 64) == r_pub.to_ints()
+        assert residual_inf(base, cand, r_pub) == 0.0
+        assert slow_matmul(base.to_ints(), cand.to_ints(), 64) == r_pub.to_ints()
 
 
 def test_consistent_weights_trivial_kernel():
