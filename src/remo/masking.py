@@ -59,13 +59,14 @@ class MaskBase:
 
 def _gf2_row_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows given as bit-packed ints."""
-    basis: list[int] = []
+    basis: dict[int, int] = {}  # leading bit -> the one basis row with it
     for value in rows:
-        for b in basis:
-            value = min(value, value ^ b)
-        if value:
-            basis.append(value)
-            basis.sort(reverse=True)
+        while value:
+            lead = value.bit_length()
+            if lead not in basis:
+                basis[lead] = value
+                break
+            value ^= basis[lead]
     return len(basis)
 
 

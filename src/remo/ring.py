@@ -15,6 +15,16 @@ where s(v) is the two's-complement interpretation of the low k bits.
 A product of two scale-f values lives at scale 2f; `rescale` shifts it
 back down with round-half-even.
 
+`ring_matmul` picks one of three kernels from the shape and the right
+operand b, never from the values of the left operand a: numpy's uint64
+`a @ b` below 8192 multiply-adds, uint64 einsum above, and exact float64
+BLAS for products of at least 8 rows and 2^18 multiply-adds whose b has
+small two's-complement values, (2^16 - 1) * max|b| * inner < 2^53.  The
+last splits a into 16-bit limbs, so every float64 partial sum is an
+integer below 2^53 and exact.  The provider's fixed-point weights meet
+the bound; uniform ring elements (mask apply, recover) do not and stay
+on einsum.  All three give the same bits.
+
 Linear systems over the ring are solved by one odd-pivot eliminator,
 `ring_solve` (`ring_kernel` is its homogeneous case): odd elements are
 the units of Z_2^k.
@@ -198,30 +208,110 @@ def ring_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix(out, a.params)
 
 
-# Products with at least this many multiply-adds (rows * inner * cols) use
-# einsum.  Integers have no BLAS, so numpy's uint64 `a @ b` is a naive loop
-# whose inner loop walks a column of b, one stride of b.cols elements per
-# step; einsum's sum-of-products loop reads rows of b contiguously.  Measured
-# on a 2-core x86 VM with numpy 2.4: 1x512@512x1024 takes 1642 us with
-# `a @ b` and 393 us with einsum, 128x256@256x1024 91 ms and 26 ms.  Below
-# the crossover einsum's fixed cost loses: 4x32@32x32 (4096) 5.9 vs 8.9 us,
-# 4x32@32x64 (8192) 12.5 vs 10.9 us.  Both kernels accumulate in uint64,
-# and a wrapped sum is the same mod 2^64 in any order, so they agree bit
-# for bit.
+# ring_matmul has three kernels, chosen by shape and by b, never by the
+# values of a.  Timings are from a 2-core x86 VM, numpy 2.4 with OpenBLAS.
+#
+# `a @ b` and einsum: integers have no BLAS, so numpy's uint64 `a @ b` is a
+# naive loop whose inner loop walks a column of b, one stride of b.cols
+# elements per step; einsum's sum-of-products loop reads rows of b
+# contiguously.  1x512@512x1024 takes 1642 us with `a @ b` and 393 us with
+# einsum, 128x256@256x1024 91 ms and 26 ms.  Below _EINSUM_MIN_MACS
+# multiply-adds (rows * inner * cols) einsum's fixed cost loses: 4x32@32x32
+# (4096) 5.9 vs 8.9 us, 4x32@32x64 (8192) 12.5 vs 10.9 us.  Both accumulate
+# in uint64, and a wrapped sum is the same mod 2^64 in any order.
+#
+# Float64 BLAS: when every signed(b) value is small, a splits into 16-bit
+# limbs, each limb is multiplied by signed(b) in float64, and the int64
+# products are shifted into place and added mod 2^64.  Every limb product
+# term is at most (2^16 - 1) * max|b|, so if (2^16 - 1) * max|b| * inner <
+# 2^53 every partial sum is an integer below 2^53 and exact in float64,
+# whatever BLAS's summation order or FMA use.  The provider's weights are
+# fixed-point values of at most 13 signed bits, far inside the bound; a
+# uniform b (mask apply, recover) fails it on its first row and stays on
+# einsum.  The limbs of a chunk of rows go to BLAS as one stacked GEMM:
+# each BLAS call is a sync point of OpenBLAS's threads, and on a 2-core VM
+# a call whose worker thread shared a core with the caller waited 8-16 ms,
+# mostly in a process's first second of BLAS use, until the scheduler moved
+# one of them.  Against einsum (medians of three runs): 128x256@256x1024
+# 23 vs 4.9 ms, 512x1024@1024x256 115 vs 18 ms, 16x256@256x768 2.0 vs
+# 0.7 ms.  Converting and checking b costs about 0.3 ms at 256x1024, so
+# one-row products lose (1x256@256x768: 0.13 vs 0.34 ms); at the wide
+# shapes BLAS wins from about 6 rows, and _BLAS_MIN_ROWS keeps a margin.
+# With small inner and cols the passes over a and the products dominate:
+# 32x32@32x96 (98304 MACs) gains 20% and 128x32@32x32 (131072) nothing,
+# too little to risk a stall, hence the MAC floor.  At the toy model
+# (d=32) it keeps the pools and every prompt shorter than 86 tokens on the
+# integer kernels.
 _EINSUM_MIN_MACS = 8192
+_BLAS_MIN_ROWS = 8
+_BLAS_MIN_MACS = 1 << 18
+_LIMB_BITS = 16
+_BLAS_ROW_CHUNK = 32  # rows of a per GEMM, times the limb count; bounds the buffers
+
+
+def _blas_operand(b: RingMatrix) -> np.ndarray | None:
+    """signed(b) as float64 if (2^16 - 1) * max|b| * b.rows < 2^53, else None.
+
+    One row is checked first, so a uniform b is turned away without a
+    scan of the whole matrix.
+    """
+    limit = ((1 << 53) - 1) // (((1 << _LIMB_BITS) - 1) * b.rows)
+    s = b.signed()
+    if limit < 1 << (b.params.k - 1):
+        for part in (s[:1], s):
+            if part.max() > limit or part.min() < -limit:
+                return None
+    return s.astype(np.float64)
+
+
+def _limb_matmul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """a @ b mod 2^64 for uint64 a < 2^k and the exact float64 operand b.
+
+    Each chunk of rows stacks its ceil(k/16) limbs into one float64 GEMM,
+    so BLAS is entered once per chunk, not once per limb.
+    """
+    (rows, inner), cols = a.shape, b.shape[1]
+    nl = -(-k // _LIMB_BITS)
+    # little-endian uint16 lanes of each element: lane i holds bits 16i..16i+15
+    lanes = np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(rows, inner, 4)
+    out = np.empty((rows, cols), dtype=np.uint64)
+    chunk = min(rows, _BLAS_ROW_CHUNK)
+    # GEMM rows are (row, limb) pairs, so a short last chunk is a prefix
+    limbs = np.empty((chunk, nl, inner), dtype=np.float64)
+    prods = np.empty((chunk, nl, cols), dtype=np.float64)
+    part = np.empty((chunk, cols), dtype=np.int64)
+    for r in range(0, rows, chunk):
+        n = min(chunk, rows - r)
+        acc, p = out[r : r + n], part[:n].view(np.uint64)
+        limbs[:n] = lanes[r : r + n, :, :nl].transpose(0, 2, 1)
+        np.matmul(limbs[:n].reshape(n * nl, inner), b, out=prods[:n].reshape(n * nl, cols))
+        for i in range(nl):
+            part[:n] = prods[:n, i]  # exact: an integer below 2^53
+            if i == 0:
+                acc[...] = p
+            else:
+                np.left_shift(p, np.uint64(i * _LIMB_BITS), out=p)
+                acc += p
+    return out
 
 
 def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Exact integer matrix product mod 2^k.
 
-    uint64 accumulation wraps mod 2^64, which is congruent mod 2^k for
-    every k <= 64, so distributivity over ring_add holds bit-exactly.
-    The result of scale-f operands lives at scale 2f.
+    Every kernel computes the product mod 2^64, which is congruent mod
+    2^k for every k <= 64, so distributivity over ring_add holds
+    bit-exactly.  The result of scale-f operands lives at scale 2f.
     """
     _check_pair(a, b, same_shape=False)
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dims differ: {a.shape} @ {b.shape}")
-    if a.rows * a.cols * b.cols >= _EINSUM_MIN_MACS:
+    macs = a.rows * a.cols * b.cols
+    exact = None
+    if a.rows >= _BLAS_MIN_ROWS and macs >= _BLAS_MIN_MACS:
+        exact = _blas_operand(b)
+    if exact is not None:
+        out = _limb_matmul(a.data, exact, a.params.k)
+    elif macs >= _EINSUM_MIN_MACS:
         out = np.einsum("ik,kj->ij", a.data, b.data)
     else:
         out = a.data @ b.data

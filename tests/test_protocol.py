@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 from conftest import random_message, zero_step_mask
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
@@ -70,6 +72,45 @@ def test_trailing_bytes_rejected():
     raw = encode_message(OpenSession(7)) + b"zz"
     with pytest.raises(LengthMismatchError):
         decode_message(raw)
+
+
+def _one_frame_per_kind() -> list[bytes]:
+    kinds = (SetupBase, PoolReply, MatMulRequest, MatMulReply, OpenSession, CloseSession, ErrorReply)
+    rng = np.random.default_rng(11)
+    frames: dict[type, bytes] = {}
+    while len(frames) < len(kinds):
+        msg = random_message(rng)
+        frames.setdefault(type(msg), encode_message(msg))
+    return [frames[kind] for kind in kinds]
+
+
+_VALID_FRAMES = _one_frame_per_kind()
+
+
+def _decode_or_remo_error(frame: bytes) -> None:
+    try:
+        decode_message(frame)
+    except errors.RemoError:
+        pass  # anything else escapes and fails the test
+
+
+@given(st.binary(max_size=96))
+@settings(max_examples=300, deadline=None)
+def test_decode_arbitrary_bytes_raises_only_remo_errors(raw):
+    _decode_or_remo_error(raw)
+
+
+@given(data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_decode_edited_frames_raise_only_remo_errors(data):
+    frame = bytearray(data.draw(st.sampled_from(_VALID_FRAMES), label="frame"))
+    spots = st.tuples(st.integers(0, len(frame) - 1), st.integers(0, 255))
+    for i, value in data.draw(st.lists(spots, max_size=4), label="edits"):
+        frame[i] = value
+    frame = frame[: data.draw(st.integers(0, len(frame)), label="cut")]
+    if data.draw(st.booleans(), label="consistent length") and len(frame) >= 4:
+        frame[:4] = struct.pack("<I", len(frame) - 4)
+    _decode_or_remo_error(bytes(frame))
 
 
 # --- provider state machine --------------------------------------------------------

@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remo.errors import DecodeError, LengthMismatch, RangeOverflow, RemoError, ShapeMismatch
+from remo.model import ModelConfig, init_weights
 from remo.ring import (
+    _BLAS_MIN_MACS,
+    _BLAS_MIN_ROWS,
     _EINSUM_MIN_MACS,
+    _LIMB_BITS,
+    _blas_operand,
     QuantParams,
     RingMatrix,
     decode_matrix,
@@ -216,7 +221,7 @@ def full_range(rng: np.random.Generator, shape, bits: int, fill: str) -> np.ndar
     return rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
 
 
-# Shapes on each side of ring_matmul's kernel crossover.
+# Shapes on each side of ring_matmul's einsum crossover.
 _SMALL_DIMS = dict(n=st.integers(1, 4), inner=st.integers(1, 32), cols=st.integers(1, 32))
 _LARGE_DIMS = dict(n=st.integers(1, 8), inner=st.integers(64, 96), cols=st.integers(128, 160))
 
@@ -228,6 +233,7 @@ def test_matmul_kernels_match_slow_oracle(large, data):
     dims = _LARGE_DIMS if large else _SMALL_DIMS
     n, inner, cols = (data.draw(dims[name], label=name) for name in ("n", "inner", "cols"))
     assert (n * inner * cols >= _EINSUM_MIN_MACS) == large
+    assert n * inner * cols < _BLAS_MIN_MACS  # the integer kernels, whatever b holds
     bits = data.draw(st.one_of(st.just(64), st.integers(2, 63)), label="k")
     fill = data.draw(st.sampled_from(["uniform", "max"]), label="fill")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -243,6 +249,83 @@ def test_matmul_wide_shapes_match_numpy_matmul(n, inner, cols):
     a = RingMatrix(full_range(rng, (n, inner), 64, "uniform"), P64)
     b = RingMatrix(full_range(rng, (inner, cols), 64, "uniform"), P64)
     assert np.array_equal(ring_matmul(a, b).data, a.data @ b.data)
+
+
+def blas_limit(inner: int) -> int:
+    """Largest max|signed(b)| the float64 kernel takes at this inner dim."""
+    return ((1 << 53) - 1) // (((1 << _LIMB_BITS) - 1) * inner)
+
+
+def signed_right_operand(rng, shape, bits: int, fill: str) -> np.ndarray:
+    """Ring elements for k=bits whose signed values sit at the float64 bound.
+
+    "at": uniform in [-lim, lim] with both ends present, lim the bound
+    clipped to the ring; "past": one element one beyond the bound, if the
+    ring holds it; "min": one element -2^(k-1); "max": all 2^k - 1 (-1).
+    """
+    if fill == "max":
+        return full_range(rng, shape, bits, "max")
+    half, limit = 1 << (bits - 1), blas_limit(shape[0])
+    hi, lo = min(limit, half - 1), -min(limit, half)
+    s = rng.integers(lo, hi, size=shape, dtype=np.int64, endpoint=True)
+    s.flat[0], s.flat[-1] = hi, lo
+    spot = tuple(int(rng.integers(0, n)) for n in shape)
+    if fill == "past" and limit < half - 1:
+        s[spot] = limit + 1
+    if fill == "min":
+        s[spot] = -half
+    return s.view(np.uint64) & np.uint64((1 << bits) - 1)
+
+
+# Shapes on each side of the float64 kernel's crossover: too few rows, too
+# few multiply-adds, or both floors met (cols is fitted to the MAC floor).
+_BLAS_SIDES = {
+    "few-rows": dict(n=st.integers(1, _BLAS_MIN_ROWS - 1), inner=st.integers(64, 96)),
+    "few-macs": dict(n=st.integers(_BLAS_MIN_ROWS, 12), inner=st.integers(16, 32)),
+    "above": dict(n=st.integers(_BLAS_MIN_ROWS, 12), inner=st.integers(64, 96)),
+}
+
+
+@pytest.mark.parametrize("side", list(_BLAS_SIDES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_blas_kernel_matches_slow_oracle(side, data):
+    dims = _BLAS_SIDES[side]
+    n, inner = data.draw(dims["n"], label="n"), data.draw(dims["inner"], label="inner")
+    floor = -(-_BLAS_MIN_MACS // (_BLAS_MIN_ROWS * inner))
+    cols_range = st.integers(64, 128) if side == "few-macs" else st.integers(floor, floor + 16)
+    cols = data.draw(cols_range, label="cols")
+    assert (n >= _BLAS_MIN_ROWS and n * inner * cols >= _BLAS_MIN_MACS) == (side == "above")
+    bits = data.draw(st.one_of(st.just(64), st.integers(2, 63)), label="k")
+    b_fill = data.draw(st.sampled_from(["at", "past", "min", "max", "uniform"]), label="b")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p = QuantParams(k=bits, f=1)
+    a_fill = data.draw(st.sampled_from(["uniform", "max"]), label="a")
+    a = RingMatrix(full_range(rng, (n, inner), bits, a_fill), p)
+    if b_fill == "uniform":
+        b = RingMatrix(full_range(rng, (inner, cols), bits, "uniform"), p)
+    else:
+        b = RingMatrix(signed_right_operand(rng, (inner, cols), bits, b_fill), p)
+    b_ints = b.to_ints()
+    fits = max(abs(signed_of(v, bits)) for row in b_ints for v in row) <= blas_limit(inner)
+    assert (_blas_operand(b) is not None) == fits
+    if b_fill in ("at", "max"):
+        assert fits
+    if b_fill == "past" and bits == 64:
+        assert not fits
+    assert ring_matmul(a, b).to_ints() == slow_matmul(a.to_ints(), b_ints, bits)
+
+
+def test_blas_kernel_on_wide_setup_pools():
+    # the provider's set-up products at the wide config: an m x d uniform
+    # base (m = d/2) against each real weight matrix
+    weights = init_weights(ModelConfig(vocab=256, d=256, layers=1, heads=8, d_ff=1024), seed=1234)
+    rng = np.random.default_rng(6)
+    for op_id, w in weights.provider_view().items():
+        base = RingMatrix(full_range(rng, (w.rows // 2, w.rows), 64, "uniform"), P64)
+        assert base.rows >= _BLAS_MIN_ROWS and base.rows * w.rows * w.cols >= _BLAS_MIN_MACS
+        assert _blas_operand(w) is not None, op_id
+        assert np.array_equal(ring_matmul(base, w).data, base.data @ w.data), op_id
 
 
 # --- rescale ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Micro-benchmarks of ring_matmul at the toy and the wide decode shapes,
-and of rescale on the toy fused QKV product.
+"""Micro-benchmarks of ring_matmul and rescale.
+
+ring_matmul runs at the toy and the wide decode shapes with uniform
+operands, which pins the integer kernels, and at the wide set-up pool and
+prefill shapes against real weights, which takes the float64 kernel.
+rescale runs on the toy fused QKV product.
 
 Rounds are fixed (pedantic mode) so each bench adds well under a second
 to the suite.  Compare runs with pytest-benchmark's own options, e.g.
@@ -12,9 +16,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from remo.ring import QuantParams, RingMatrix, rescale, ring_matmul
+from remo.model import ModelConfig, init_weights
+from remo.ring import QuantParams, RingMatrix, _blas_operand, rescale, ring_matmul
 
 P64 = QuantParams()
+WIDE = ModelConfig(vocab=256, d=256, layers=1, heads=8, d_ff=1024)
 
 
 @pytest.mark.parametrize(
@@ -28,6 +34,20 @@ def test_bench_ring_matmul(benchmark, n, inner, cols, rounds):
     b = RingMatrix(rng.integers(0, 2**64, (inner, cols), dtype=np.uint64), P64)
     out = benchmark.pedantic(ring_matmul, args=(a, b), rounds=rounds, warmup_rounds=2)
     assert np.array_equal(out.data, a.data @ b.data)
+
+
+@pytest.mark.parametrize(
+    "n,op_id,rounds",
+    [(128, "l0.wup", 20), (16, "l0.wqkv", 50)],
+    ids=["pool-128x256@256x1024", "prefill-16x256@256x768"],
+)
+def test_bench_ring_matmul_weights(benchmark, n, op_id, rounds):
+    w = init_weights(WIDE, seed=1234).op_matrix(op_id)
+    assert _blas_operand(w) is not None
+    rng = np.random.default_rng(n)
+    a = RingMatrix(rng.integers(0, 2**64, (n, w.rows), dtype=np.uint64), P64)
+    out = benchmark.pedantic(ring_matmul, args=(a, w), rounds=rounds, warmup_rounds=2)
+    assert np.array_equal(out.data, np.einsum("ik,kj->ij", a.data, w.data))
 
 
 def test_bench_rescale_1x96(benchmark):
