@@ -11,9 +11,12 @@ enclave and re-quantized at the boundary.
 
 A prompt is fed as one block (one n-row product per op, and one
 attention call in which each row reads its causal cache prefix), and
-each later token as a block of one; a prompt fed as one block or token
-by token gives bit-identical caches and tokens.  The same DecoderEngine
-drives both the partitioned pipeline and the single-party reference pipeline;
+each later token as a block of one.  Attention batches the heads of a
+row into stacked products whose per-head parts keep the shapes of a
+row fed alone, so every float reduction still matches feeding the
+tokens one at a time: a prompt fed as one block or token by token
+gives bit-identical caches and tokens.  The same DecoderEngine drives
+both the partitioned pipeline and the single-party reference pipeline;
 they differ only in the callable that evaluates weighted ops, so any
 divergence between them is a protocol bug, not a modelling artifact.
 """
@@ -259,16 +262,15 @@ def rms_norm(x: RingMatrix, gain: np.ndarray) -> RingMatrix:
     if x.rows == 0:
         raise EmptyInput("rms_norm needs at least one row")
     xd = dequantize(x)
-    rms = np.sqrt(np.mean(xd * xd, axis=1, keepdims=True) + RMS_EPS)
+    rms = np.sqrt(np.add.reduce(xd * xd, axis=1, keepdims=True) / x.cols + RMS_EPS)
     return quantize(xd / rms * np.asarray(gain)[None, :], x.params)
 
 
 def silu(x: RingMatrix) -> RingMatrix:
     xd = dequantize(x)
-    # numerically stable logistic; xd magnitudes are small post-projection
-    pos = xd >= 0
-    z = np.exp(np.where(pos, -xd, xd))
-    sig = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    # numerically stable logistic: 1 / (1 + z) for x >= 0, z / (1 + z) below
+    z = np.exp(-np.abs(xd))
+    sig = np.where(xd >= 0, 1.0, z) / (1.0 + z)
     return quantize(xd * sig, x.params)
 
 
@@ -321,19 +323,19 @@ def attention_structural(
         )
     n, d = q.shape
     d_head = d // heads
-    qd = dequantize(q).reshape(n, heads, d_head)
-    kd = dequantize(keys).reshape(-1, heads, d_head)
-    vd = dequantize(values).reshape(-1, heads, d_head)
-    out = np.empty((n, d))
+    qd = dequantize(q).reshape(n, heads, d_head, 1)
+    kd = dequantize(keys).reshape(-1, heads, d_head).transpose(1, 0, 2)
+    vd = dequantize(values).reshape(-1, heads, d_head).transpose(1, 0, 2)
+    out = np.empty((n, heads, 1, d_head))
     for r in range(n):
         end = position + r + 1
-        for h in range(heads):
-            scores = kd[:end, h, :] @ qd[r, h] / np.sqrt(d_head)
-            scores -= scores.max()
-            w = np.exp(scores)
-            w /= w.sum()
-            out[r, h * d_head : (h + 1) * d_head] = w @ vd[:end, h, :]
-    return quantize(out, q.params)
+        # per head, the same BLAS matrix-vector calls as a loop over heads
+        scores = np.matmul(kd[:, :end], qd[r]).reshape(heads, 1, end) / np.sqrt(d_head)
+        scores -= scores.max(axis=2, keepdims=True)
+        w = np.exp(scores)
+        w /= w.sum(axis=2, keepdims=True)
+        np.matmul(w, vd[:, :end], out=out[r])
+    return quantize(out.reshape(n, d), q.params)
 
 
 def argmax_token(logits: RingMatrix) -> int:

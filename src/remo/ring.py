@@ -169,7 +169,7 @@ def quantize(x, params: QuantParams) -> RingMatrix:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
-    if arr.size and (not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) >= params.max_abs):
+    if arr.size and not np.abs(arr).max() < params.max_abs:  # NaN fails the < too
         raise RangeOverflow(f"value outside representable range |x| < {params.max_abs}")
     scaled = np.rint(arr * params.scale)
     # float64 has no values in (2^(k-1) - 0.5, 2^(k-1)) once k-1 > 53, and for
@@ -382,20 +382,18 @@ def rescale(a: RingMatrix) -> RingMatrix:
     """Drop f fraction bits from a scale-2f value, round-half-even.
 
     Equivalent to round_half_even(s(v) / 2^f) on the two's-complement
-    value, re-encoded mod 2^k.  Deterministic pure integer arithmetic.
+    value s(v), re-encoded mod 2^k.  With q = s(v) >> f (the floor) and
+    r the low f bits, round-half-even adds one exactly when
+    r + (q & 1) > 2^(f-1): above the half step always, at it only for
+    odd q.  Deterministic pure integer arithmetic.
     """
     p = a.params
-    f = np.uint64(p.f)
-    data = a.data
-    q = data >> f
-    # sign-extend the arithmetic shift inside the low k bits
-    ext = np.uint64((((1 << p.f) - 1) << (p.k - p.f)) & p.mask)
-    sign = (data >> np.uint64(p.k - 1)) & np.uint64(1)
-    q = q | (sign * ext)
-    r = data & np.uint64((1 << p.f) - 1)
-    half = np.uint64(1 << (p.f - 1))
-    inc = (r > half) | ((r == half) & ((q & np.uint64(1)) == np.uint64(1)))
-    out = q + inc.astype(np.uint64)
+    s = a.signed()
+    q = s >> p.f
+    half = 1 << (p.f - 1)
+    # r > half - (q & 1), not r + (q & 1) > half: at f = 63 that sum wraps int64
+    inc = (s & ((1 << p.f) - 1)) > half - (q & 1)
+    out = (q + inc).view(np.uint64)
     if p.k < 64:
         out = out & np.uint64(p.mask)
     return RingMatrix(out, p)

@@ -94,6 +94,47 @@ def test_rms_norm_matches_reference_oracle():
     assert np.max(np.abs(got - want)) <= 2.0 ** (-P.f + 1)
 
 
+def rms_norm_mean_oracle(x: RingMatrix, gain: np.ndarray) -> RingMatrix:
+    """rms_norm written with np.mean, as it was before it called np.add.reduce."""
+    xd = dequantize(x)
+    rms = np.sqrt(np.mean(xd * xd, axis=1, keepdims=True) + 1e-6)
+    return quantize(xd / rms * np.asarray(gain)[None, :], x.params)
+
+
+def silu_two_where_oracle(x: RingMatrix) -> RingMatrix:
+    """silu with its two float expressions in two np.where calls, as it was."""
+    xd = dequantize(x)
+    pos = xd >= 0
+    z = np.exp(np.where(pos, -xd, xd))
+    sig = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    return quantize(xd * sig, x.params)
+
+
+# At f = 48 the outputs keep the last few bits of the float results, so a
+# kernel whose float arithmetic differs from its oracle's by one ulp shows.
+BIT_PARAMS = (P, QuantParams(k=64, f=48))
+
+
+def random_rows(seed: int, rows: int, cols: int, spread: float, params: QuantParams) -> RingMatrix:
+    x = np.random.default_rng(seed).normal(scale=spread, size=(rows, cols))
+    return quantize(x, params)
+
+
+@given(
+    rows=st.integers(1, 4),
+    cols=st.sampled_from([1, 2, 3, 32, 64, 95, 256, 1024]),
+    spread=st.sampled_from([1e-4, 0.1, 1.0, 30.0, 1000.0]),
+    params=st.sampled_from(BIT_PARAMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_rms_norm_and_silu_match_their_old_forms_bit_for_bit(rows, cols, spread, params, seed):
+    x = random_rows(seed, rows, cols, spread, params)
+    gain = np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=cols)
+    assert rms_norm(x, gain).data.tobytes() == rms_norm_mean_oracle(x, gain).data.tobytes()
+    assert silu(x).data.tobytes() == silu_two_where_oracle(x).data.tobytes()
+
+
 # --- attention -------------------------------------------------------------------
 
 
@@ -128,6 +169,50 @@ def test_attention_cache_inconsistent():
     block = quantize(rng.normal(size=(2, 8)), P)
     with pytest.raises(CacheInconsistent):  # a 2-row block at position 1 needs 3 rows
         attention_structural(block, kv, kv, heads=2, position=1)
+
+
+def attention_per_head_oracle(
+    q: RingMatrix, keys: RingMatrix, values: RingMatrix, heads: int, position: int
+) -> RingMatrix:
+    """attention_structural as a loop over rows and then heads, as it was
+    before the heads of a row were batched."""
+    n, d = q.shape
+    d_head = d // heads
+    qd = dequantize(q).reshape(n, heads, d_head)
+    kd = dequantize(keys).reshape(-1, heads, d_head)
+    vd = dequantize(values).reshape(-1, heads, d_head)
+    out = np.empty((n, d))
+    for r in range(n):
+        end = position + r + 1
+        for h in range(heads):
+            scores = kd[:end, h, :] @ qd[r, h] / np.sqrt(d_head)
+            scores -= scores.max()
+            w = np.exp(scores)
+            w /= w.sum()
+            out[r, h * d_head : (h + 1) * d_head] = w @ vd[:end, h, :]
+    return quantize(out, q.params)
+
+
+@given(
+    heads=st.sampled_from([1, 2, 4, 8]),
+    d_head=st.sampled_from([1, 2, 3, 5, 8, 32]),
+    rows=st.integers(1, 4),
+    position=st.integers(0, 120),
+    spread=st.sampled_from([0.1, 1.0, 4.0]),
+    params=st.sampled_from(BIT_PARAMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_attention_matches_per_head_loop_bit_for_bit(
+    heads, d_head, rows, position, spread, params, seed
+):
+    d, end = heads * d_head, position + rows
+    q, keys, values = (
+        random_rows(seed + i, n, d, spread, params) for i, n in enumerate((rows, end, end))
+    )
+    got = attention_structural(q, keys, values, heads, position)
+    want = attention_per_head_oracle(q, keys, values, heads, position)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_causality_prefix_outputs_stable(toy_weights):

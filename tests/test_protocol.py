@@ -1,5 +1,6 @@
 """Wire codec, provider state machine, transports, and the transcript audit."""
 
+import contextlib
 import socket
 import struct
 import threading
@@ -132,6 +133,20 @@ def test_setup_reissue_refused(toy_world):
     provider.handle(SetupBase("l0.wqkv", base))
     second = provider.handle(SetupBase("l0.wqkv", base))
     assert isinstance(second, ErrorReply) and second.code == "SketchReissue"
+
+
+def test_restarted_provider_reissues_the_sketch(toy_weights):
+    # Pins the restart hole: `issued` lives in memory, so a provider restarted
+    # over the same weights answers a SetupBase that its earlier instance
+    # already answered, instead of refusing it with SketchReissue.
+    base = Enclave(toy_weights.enclave_view(), master_seed=99)._issuer.gen_public_base(
+        "l0.wqkv", 16, 32
+    )
+    first = ProviderState(toy_weights.provider_view(), P).handle(SetupBase("l0.wqkv", base))
+    restarted = ProviderState(toy_weights.provider_view(), P)
+    second = restarted.handle(SetupBase("l0.wqkv", base))
+    assert isinstance(first, PoolReply)
+    assert second == first
 
 
 def test_matmul_matches_local_oracle(toy_world):
@@ -449,6 +464,76 @@ def test_server_prunes_finished_connection_threads(toy_weights):
         assert len(server._threads) <= 5
     finally:
         server.shutdown()
+
+
+def _toy_frames() -> list[bytes]:
+    """Well-formed requests the toy provider answers with a product or a pool."""
+    rng = np.random.default_rng(5)
+    base = RingMatrix.from_ints(rng.integers(0, 2**63, (16, 32)).tolist(), P)
+    row = RingMatrix.from_ints(rng.integers(0, 2**63, (2, 32)).tolist(), P)
+    return [
+        encode_message(SetupBase("l0.wo", base)),
+        encode_message(MatMulRequest(3, 0, "l0.wqkv", row)),
+    ]
+
+
+_SERVER_FRAMES = _VALID_FRAMES + _toy_frames()
+FUZZ_IDLE_TIMEOUT_S = 0.1
+
+
+def _fuzzed_frame(data) -> bytes:
+    frame = bytearray(data.draw(st.sampled_from(_SERVER_FRAMES), label="frame"))
+    spots = st.tuples(st.integers(0, len(frame) - 1), st.integers(0, 255))
+    for i, value in data.draw(st.lists(spots, max_size=3), label="edits"):
+        frame[i] = value
+    return bytes(frame[: data.draw(st.integers(1, len(frame)), label="cut")])
+
+
+def _read_replies(sock: socket.socket) -> list:
+    """Every reply until the server closes the connection, decoded."""
+    replies = []
+    while True:
+        try:
+            frame = remo.protocol.read_frame(sock)
+        except TransportClosed:
+            return replies
+        replies.append(decode_message(frame))
+
+
+def test_provider_server_survives_fuzzed_frames(toy_weights):
+    server = ProviderServer(
+        ProviderState(toy_weights.provider_view(), P), port=0, idle_timeout=FUZZ_IDLE_TIMEOUT_S
+    )
+    seen = set()
+    try:
+
+        @given(data=st.data())
+        @settings(max_examples=80, deadline=None)
+        def one_connection(data):
+            frames = [_fuzzed_frame(data) for _ in range(data.draw(st.integers(1, 3)))]
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                sock.sendall(b"".join(frames))
+                if data.draw(st.booleans(), label="half-close"):
+                    # else the server's idle timeout ends the connection; the
+                    # server may have reset it already, after an error reply
+                    with contextlib.suppress(OSError):
+                        sock.shutdown(socket.SHUT_WR)
+                replies = _read_replies(sock)
+            for reply in replies:
+                seen.add(type(reply))
+                if isinstance(reply, ErrorReply):  # names a RemoError the client can rebuild
+                    assert type(errors.from_code(reply.code)).__name__ == reply.code
+
+        one_connection()
+        for t in list(server._threads):
+            t.join(timeout=2.0)
+            assert not t.is_alive()
+    finally:
+        started = time.monotonic()
+        server.shutdown()
+        took = time.monotonic() - started
+    assert took < 2.0 and not server._accept_thread.is_alive()
+    assert ErrorReply in seen
 
 
 # --- transcript + audit ----------------------------------------------------------------

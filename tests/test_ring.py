@@ -72,8 +72,9 @@ def test_quantize_halves_mod_256():
 
 
 def test_quantize_overflow():
-    with pytest.raises(RangeOverflow):
-        quantize([[float(P8.max_abs)]], P8)
+    for bad in (P8.max_abs, -P8.max_abs, np.nan, np.inf, -np.inf):
+        with pytest.raises(RangeOverflow):
+            quantize([[0.0, bad]], P8)
 
 
 def test_quantize_deterministic():
@@ -355,6 +356,39 @@ def test_rescale_matches_rational_oracle():
             round_half_even_div(signed_of(v % p.modulus, p.k), p.f) % p.modulus for v in vals
         ]
         assert got == want
+
+
+RESCALE_KS = (64, 63, 17, 8)
+
+
+def rescale_matches_rational_oracle(vals: list[int], k: int, f: int) -> None:
+    p = QuantParams(k=k, f=f)
+    got = rescale(RingMatrix(np.array([vals], dtype=np.uint64), p)).to_ints()[0]
+    want = [round_half_even_div(signed_of(v, k), f) % p.modulus for v in vals]
+    assert got == want, (k, f)
+
+
+@pytest.mark.parametrize("k", RESCALE_KS)
+def test_rescale_half_steps_match_rational_oracle_at_every_f(k):
+    top = 1 << (k - 1)
+    for f in range(1, k):
+        step, half = 1 << f, 1 << (f - 1)
+        vals = [0, 1, top - 1, top, top + 1, (1 << k) - 1]
+        # at and next to the half step above floors q of both signs and parities,
+        # at both ends of the signed range
+        low, high = -top >> f, (top - 1) >> f
+        for q in (low, low + 1, -2, -1, 0, 1, 2, high - 1, high):
+            vals += [(q * step + half + e) % (1 << k) for e in (-1, 0, 1)]
+        rescale_matches_rational_oracle(vals, k, f)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_rescale_matches_rational_oracle_at_any_k_and_f(data):
+    k = data.draw(st.sampled_from(RESCALE_KS), label="k")
+    f = data.draw(st.integers(1, k - 1), label="f")
+    vals = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=32), label="vals")
+    rescale_matches_rational_oracle(vals, k, f)
 
 
 def test_ring_closure_all_ops():
