@@ -27,6 +27,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     BadDims,
@@ -164,7 +165,7 @@ class EnclaveParams:
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Seeded uniform init: projections in +-1/sqrt(d_in), embeddings in +-1."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     p = config.params
 
     def mat(rows: int, cols: int, bound: float) -> RingMatrix:

@@ -8,8 +8,9 @@ matrices and per-op issue flags, never embeddings, tokens or KV data.
 Two interchangeable transports run the identical message flow: direct
 in-process calls and framed TCP (default port 7431).  A Transcript
 records every provider-visible message and can be audited for schema,
-masking uniformity and per-step freshness.  The enclave checks every
-reply it acts on in one place, `_expect`.
+masking uniformity and per-step freshness; the audit imports scipy.stats
+on its first call, as serving processes never audit.  The enclave checks
+every reply it acts on in one place, `_expect`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import errors
 from .errors import (
@@ -577,7 +577,9 @@ def _chi_square(values: np.ndarray, bins: int) -> float:
 
 
 def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport:
-    """Check a provider-view log: schema, directions, mask uniformity, freshness."""
+    """Check a provider-view log: schema, directions, mask uniformity, freshness,
+    importing `scipy.stats` on the first call, which no serving process makes."""
+    from scipy.stats import chi2  # not at module level: ~1 s and ~65 MB per process
     clauses: dict[str, ClauseResult] = {}
 
     unknown = [

@@ -1,9 +1,12 @@
-"""Structural guards: the wire-error registry and the shape of the public API."""
+"""Structural guards: the wire-error registry, the shape of the public API and what `import remo` loads."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,35 @@ def test_enclave_has_no_plaintext_hook():
     assert list(inspect.signature(Enclave.run_session).parameters) == [
         "self", "transport", "prompt", "max_new",
     ]
+
+
+FRESH_IMPORT = """
+import sys
+import numpy as np
+import remo, remo.cli, remo.attack, remo.privacy
+from remo.protocol import TO_PROVIDER, MatMulRequest
+from remo.ring import QuantParams, RingMatrix
+
+assert remo.__file__ == sys.argv[1], remo.__file__
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, scipy
+assert "numpy.random" in sys.modules
+
+data = np.random.default_rng(1).integers(0, 2**64, size=(4, 1024), dtype=np.uint64)
+transcript = remo.Transcript()
+transcript.append(TO_PROVIDER, MatMulRequest(1, 0, "head", RingMatrix(data, QuantParams())))
+clause = remo.audit_transcript(transcript).clauses["uniformity"]
+assert clause.ok and "vs critical 310.5" in clause.detail, clause.detail
+assert "scipy.stats" in sys.modules
+"""
+
+
+def test_import_leaves_scipy_to_the_audit():
+    # Every enclave and provider process imports remo and none audits, so
+    # scipy.stats (about 1 s and 65 MB per process) waits for the first
+    # audit.  pytest's own process has scipy loaded: check a fresh one.
+    src = str(Path(remo.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", FRESH_IMPORT, remo.__file__],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr

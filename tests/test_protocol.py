@@ -547,6 +547,22 @@ def test_honest_transcript_passes_audit(toy_world):
     assert report.passed, {k: v.detail for k, v in report.clauses.items()}
 
 
+def test_uniformity_critical_value_is_chi2_ppf(toy_world):
+    # the clause compares with chi2.ppf(1 - alpha, 2^bits - 1), shown to 0.1
+    _, _, enclave, transport, transcript = toy_world
+    for prompt in ([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]):
+        enclave.run_session(transport, prompt, 8)
+    honest = audit_transcript(transcript).clauses["uniformity"]
+    assert honest.ok and "vs critical 310.5 at alpha=0.01" in honest.detail  # k = 64: df 255
+
+    p6 = QuantParams(k=6, f=2)
+    data = np.random.default_rng(5).integers(0, 64, size=(40, 64), dtype=np.uint64)
+    synthetic = Transcript()
+    synthetic.append(remo.protocol.TO_PROVIDER, MatMulRequest(1, 0, "head", RingMatrix(data, p6)))
+    small = audit_transcript(synthetic).clauses["uniformity"]
+    assert small.ok and "vs critical 92.0 at alpha=0.01" in small.detail  # k = 6: df 63
+
+
 def test_no_masking_fails_uniformity(toy_world, monkeypatch):
     _, provider, enclave, transport, transcript = toy_world
     monkeypatch.setattr(remo.protocol, "derive_step_mask", zero_step_mask)
