@@ -42,7 +42,9 @@ class MaskBase:
     the base (m rows, the base's params), so every base in use has one.
     The pool holds the raw ring product of the base with the weight
     matrix, i.e. at fixed-point scale 2f: recovery must subtract it from
-    the equally raw masked product before any rescaling.
+    the equally raw masked product before any rescaling.  Both are only
+    right operands (mask apply, recover), so `Enclave.setup` stores them
+    column-major (`ring.column_major`); the wire keeps the drawn base.
     """
 
     public_base: RingMatrix

@@ -44,6 +44,7 @@ from .errors import (
 from .ring import (
     QuantParams,
     RingMatrix,
+    column_major,
     decode_matrix,
     dequantize,
     encode_matrix,
@@ -164,12 +165,18 @@ class EnclaveParams:
 
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
-    """Seeded uniform init: projections in +-1/sqrt(d_in), embeddings in +-1."""
+    """Seeded uniform init: projections in +-1/sqrt(d_in), embeddings in +-1.
+
+    Op matrices, only ever right operands, are drawn row-major and stored
+    column-major (`ring.column_major`); embedding and gains stay row-major."""
     rng = default_rng(seed)
     p = config.params
 
     def mat(rows: int, cols: int, bound: float) -> RingMatrix:
         return quantize(rng.uniform(-bound, bound, size=(rows, cols)), p)
+
+    def op(rows: int, cols: int, bound: float) -> RingMatrix:
+        return column_major(mat(rows, cols, bound))
 
     unit_gain = quantize(np.ones((1, config.d)), p)
     embedding = mat(config.vocab, config.d, 1.0)
@@ -179,17 +186,17 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
         b_ff = 1.0 / np.sqrt(config.d_ff)
         layers.append(
             LayerWeights(
-                wq=mat(config.d, config.d, b_d),
-                wk=mat(config.d, config.d, b_d),
-                wv=mat(config.d, config.d, b_d),
-                wo=mat(config.d, config.d, b_d),
-                wup=mat(config.d, config.d_ff, b_d),
-                wdown=mat(config.d_ff, config.d, b_ff),
+                wq=op(config.d, config.d, b_d),
+                wk=op(config.d, config.d, b_d),
+                wv=op(config.d, config.d, b_d),
+                wo=op(config.d, config.d, b_d),
+                wup=op(config.d, config.d_ff, b_d),
+                wdown=op(config.d_ff, config.d, b_ff),
                 attn_gain=unit_gain,
                 mlp_gain=unit_gain,
             )
         )
-    head = mat(config.d, config.vocab, 1.0 / np.sqrt(config.d))
+    head = op(config.d, config.vocab, 1.0 / np.sqrt(config.d))
     return ModelWeights(
         config=config, embedding=embedding, layers=layers, final_gain=unit_gain, head=head
     )

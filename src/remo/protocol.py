@@ -38,7 +38,7 @@ from .errors import (
 from .masking import MaskBase, MaskIssuer, derive_step_mask, mask_embedding, recover
 from .model import DecoderEngine, EnclaveParams, ModelConfig
 from .prg import PrgKey
-from .ring import QuantParams, RingMatrix, decode_matrix, encode_matrix, ring_matmul
+from .ring import QuantParams, RingMatrix, column_major, decode_matrix, encode_matrix, ring_matmul
 
 DEFAULT_PORT = 7431
 MAX_FRAME = 1 << 28  # desk-scale sanity cap
@@ -225,7 +225,8 @@ class ProviderState:
     Holds only weight matrices and per-op issue flags: no embeddings,
     tokens or KV values are constructible from the messages it accepts.
     Sessions are not tracked; OpenSession and CloseSession are
-    acknowledged by echo.
+    acknowledged by echo.  Weights are only ever right operands, so they
+    are held column-major (`ring.column_major`), converted here if need be.
     """
 
     def __init__(
@@ -234,7 +235,7 @@ class ProviderState:
         params: QuantParams,
         transcript: Transcript | None = None,
     ):
-        self.ops = ops
+        self.ops = {op_id: column_major(w) for op_id, w in ops.items()}
         self.params = params
         self.transcript = transcript
         self.issued: set[str] = set()
@@ -491,7 +492,7 @@ class Enclave:
                     f"pool for {op_id!r} is {pool!r}, expected {want[0]}x{want[1]} "
                     f"with the base's {public_base.params}"
                 )
-            self.bases[op_id] = MaskBase(public_base, pool)
+            self.bases[op_id] = MaskBase(column_major(public_base), column_major(pool))
 
     def run_session(self, transport, prompt, max_new: int) -> list[int]:
         """Setup if needed, then prefill and decode one prompt.

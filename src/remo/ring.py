@@ -25,6 +25,12 @@ integer below 2^53 and exact.  The provider's fixed-point weights meet
 the bound; uniform ring elements (mask apply, recover) do not and stay
 on einsum.  All three give the same bits.
 
+Layout: a matrix keeps row-major (C) or column-major (F) data and copies
+anything else to C; products are C.  A matrix that is only ever a right
+operand (a weight, a public base, a pool) is made column-major once, where
+it is born (`column_major`).  Values, equality, hashes and the wire form
+do not depend on the layout.
+
 Linear systems over the ring are solved by one odd-pivot eliminator,
 `ring_solve` (`ring_kernel` is its homogeneous case): odd elements are
 the units of Z_2^k.
@@ -79,7 +85,8 @@ class QuantParams:
 
 
 def _as_canonical(data: np.ndarray, params: QuantParams) -> np.ndarray:
-    arr = np.ascontiguousarray(data, dtype=np.uint64)
+    arr = np.asarray(data, dtype=np.uint64)
+    arr = arr if arr.flags.forc else np.ascontiguousarray(arr)  # C or F kept, anything else C
     if arr.ndim != 2:
         raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
     if params.k < 64 and bool(np.any(arr > np.uint64(params.mask))):
@@ -141,6 +148,11 @@ class RingMatrix:
 
 def zeros(rows: int, cols: int, params: QuantParams) -> RingMatrix:
     return RingMatrix(np.zeros((rows, cols), dtype=np.uint64), params)
+
+
+def column_major(a: RingMatrix) -> RingMatrix:
+    """`a` stored column-major, as fixed right operands are; column-major data is not copied."""
+    return RingMatrix(np.asfortranarray(a.data), a.params)
 
 
 def _to_signed(data: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -213,12 +225,19 @@ def ring_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
 #
 # `a @ b` and einsum: integers have no BLAS, so numpy's uint64 `a @ b` is a
 # naive loop whose inner loop walks a column of b, one stride of b.cols
-# elements per step; einsum's sum-of-products loop reads rows of b
-# contiguously.  1x512@512x1024 takes 1642 us with `a @ b` and 393 us with
-# einsum, 128x256@256x1024 91 ms and 26 ms.  Below _EINSUM_MIN_MACS
-# multiply-adds (rows * inner * cols) einsum's fixed cost loses: 4x32@32x32
-# (4096) 5.9 vs 8.9 us, 4x32@32x64 (8192) 12.5 vs 10.9 us.  Both accumulate
-# in uint64, and a wrapped sum is the same mod 2^64 in any order.
+# elements per step; einsum reads b contiguously.  1x512@512x1024 takes
+# 1642 us with `a @ b` and 393 us with einsum, 128x256@256x1024 91 ms and
+# 26 ms.  Below _EINSUM_MIN_MACS multiply-adds (rows * inner * cols)
+# einsum's fixed cost loses: 4x32@32x32 (4096) 5.9 vs 8.9 us, 4x32@32x64
+# (8192) 12.5 vs 10.9 us.  Both accumulate in uint64, and a wrapped sum is
+# the same mod 2^64 in any order.
+#
+# Layout: a row-major b makes einsum add a[i, t] * b[t] into output row i
+# once per t, a column-major b makes each output element one contiguous dot
+# product.  C -> F b, best of 7, two runs: 1x512@512x1024 446-490 -> 351-358
+# us, 1x1024@1024x256 222-251 -> 172-200 us, 16x512@512x1024 6.2-6.9 ->
+# 5.0-5.4 ms; `a @ b` ignores it.  einsum lays its output out like a: the
+# copy to C is free for a C a, and order="C" would slow a C b eightfold.
 #
 # Float64 BLAS: when every signed(b) value is small, a splits into 16-bit
 # limbs, each limb is multiplied by signed(b) in float64, and the int64
@@ -312,7 +331,7 @@ def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if exact is not None:
         out = _limb_matmul(a.data, exact, a.params.k)
     elif macs >= _EINSUM_MIN_MACS:
-        out = np.einsum("ik,kj->ij", a.data, b.data)
+        out = np.ascontiguousarray(np.einsum("ik,kj->ij", a.data, b.data))
     else:
         out = a.data @ b.data
     if a.params.k < 64:
@@ -336,7 +355,7 @@ def ring_solve(a: RingMatrix, b: RingMatrix) -> tuple[RingMatrix, RingMatrix] | 
     if a.rows != b.rows:
         raise ShapeMismatch(f"row counts differ: {a.shape} vs {b.shape}")
     d = a.cols
-    aug = np.hstack([a.data, b.data])
+    aug = np.ascontiguousarray(np.hstack([a.data, b.data]))  # row operations read rows
     pivots: list[int] = []
     for c in range(d):
         r = len(pivots)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
 from remo.errors import ProtocolError, ShapeMismatch, SketchReissue, TransportClosed
-from remo.model import ModelConfig, init_weights, reference_generate
+from remo.model import ModelConfig, init_weights, load_weights, reference_generate, save_weights
 from remo.protocol import (
     CloseSession,
     Enclave,
@@ -289,6 +289,40 @@ def test_wide_model_golden_tokens():
     provider = ProviderState(weights.provider_view(), WIDE_CFG.params)
     enclave = Enclave(weights.enclave_view(), master_seed=7)
     assert enclave.run_session(InProcTransport(provider), WIDE_PROMPT, 8) == WIDE_GOLDEN
+
+
+def test_fixed_right_operands_are_held_once_column_major(tmp_path):
+    weights = init_weights(WIDE_CFG, seed=1234)
+    layer = weights.layers[0]
+    for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.wup, layer.wdown, weights.head):
+        assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+    for table in (weights.embedding, layer.attn_gain, layer.mlp_gain, weights.final_gain):
+        assert table.data.flags.c_contiguous
+    view = weights.provider_view()
+    transcript = Transcript()
+    provider = ProviderState(view, WIDE_CFG.params, transcript=transcript)
+    for op_id, w in view.items():
+        assert provider.ops[op_id].data.flags.f_contiguous, op_id
+        assert np.shares_memory(provider.ops[op_id].data, w.data), op_id
+
+    enclave = Enclave(weights.enclave_view(), master_seed=7)
+    enclave.setup(InProcTransport(provider))
+    sent = {e.message.op_id: e.message.base for e in transcript.entries if isinstance(e.message, SetupBase)}
+    pools = {e.message.op_id: e.message.pool for e in transcript.entries if isinstance(e.message, PoolReply)}
+    assert set(sent) == set(pools) == set(enclave.bases) == set(WIDE_CFG.op_ids())
+    for op_id, base in enclave.bases.items():
+        assert base.public_base.data.flags.f_contiguous and base.pool.data.flags.f_contiguous
+        assert sent[op_id].data.flags.c_contiguous  # the wire form is unchanged
+        assert base.public_base == sent[op_id] and base.pool == pools[op_id], op_id
+
+    # weights read back from a file are row-major; the provider converts them once
+    path = tmp_path / "toy.rmw"
+    save_weights(init_weights(ModelConfig(), seed=1234), path)
+    loaded = load_weights(path).provider_view()
+    assert all(w.data.flags.c_contiguous for w in loaded.values())
+    converted = ProviderState(loaded, P).ops
+    assert all(converted[op_id].data.flags.f_contiguous and converted[op_id] == w
+               for op_id, w in loaded.items())
 
 
 def test_second_enclave_against_same_provider_refused(toy_weights, toy_world):

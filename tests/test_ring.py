@@ -18,6 +18,7 @@ from remo.ring import (
     _blas_operand,
     QuantParams,
     RingMatrix,
+    column_major,
     decode_matrix,
     dequantize,
     encode_matrix,
@@ -222,6 +223,14 @@ def full_range(rng: np.random.Generator, shape, bits: int, fill: str) -> np.ndar
     return rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
 
 
+def assert_layout_invariant(a: RingMatrix, b: RingMatrix, got: RingMatrix) -> None:
+    """a @ b with b stored column-major is `got`, the row-major b's product, bit for bit."""
+    twin = column_major(b)
+    assert twin.data.flags.f_contiguous and twin == b
+    out = ring_matmul(a, twin)
+    assert out.data.flags.c_contiguous and np.array_equal(out.data, got.data)
+
+
 # Shapes on each side of ring_matmul's einsum crossover.
 _SMALL_DIMS = dict(n=st.integers(1, 4), inner=st.integers(1, 32), cols=st.integers(1, 32))
 _LARGE_DIMS = dict(n=st.integers(1, 8), inner=st.integers(64, 96), cols=st.integers(128, 160))
@@ -241,7 +250,9 @@ def test_matmul_kernels_match_slow_oracle(large, data):
     p = QuantParams(k=bits, f=1)
     a = RingMatrix(full_range(rng, (n, inner), bits, fill), p)
     b = RingMatrix(full_range(rng, (inner, cols), bits, fill), p)
-    assert ring_matmul(a, b).to_ints() == slow_matmul(a.to_ints(), b.to_ints(), bits)
+    got = ring_matmul(a, b)
+    assert got.to_ints() == slow_matmul(a.to_ints(), b.to_ints(), bits)
+    assert_layout_invariant(a, b, got)
 
 
 @pytest.mark.parametrize("n,inner,cols", [(1, 512, 1024), (16, 256, 256)])
@@ -310,11 +321,14 @@ def test_blas_kernel_matches_slow_oracle(side, data):
     b_ints = b.to_ints()
     fits = max(abs(signed_of(v, bits)) for row in b_ints for v in row) <= blas_limit(inner)
     assert (_blas_operand(b) is not None) == fits
+    assert (_blas_operand(column_major(b)) is not None) == fits
     if b_fill in ("at", "max"):
         assert fits
     if b_fill == "past" and bits == 64:
         assert not fits
-    assert ring_matmul(a, b).to_ints() == slow_matmul(a.to_ints(), b_ints, bits)
+    got = ring_matmul(a, b)
+    assert got.to_ints() == slow_matmul(a.to_ints(), b_ints, bits)
+    assert_layout_invariant(a, b, got)
 
 
 def test_blas_kernel_on_wide_setup_pools():
@@ -446,6 +460,10 @@ def test_eliminator_kernel_and_solution_hold_mod_2k(data):
     x0, n_solve = ring_solve(mat, b)
     assert n_solve == n
     assert slow_matmul(mat.to_ints(), x0.to_ints(), bits) == b.to_ints()
+    # the enclave holds its bases and pools column-major
+    assert ring_kernel(column_major(mat)) == (rank, n)
+    assert ring_solve(column_major(mat), column_major(b)) == (x0, n_solve)
+    assert ring_solve(column_major(mat), b) == (x0, n_solve)
 
     # one more row, the sum of the others: its right-hand side decides consistency
     delta = data.draw(st.integers(0, mod - 1), label="delta")
@@ -464,6 +482,36 @@ def test_eliminator_kernel_and_solution_hold_mod_2k(data):
         ring_kernel(doubled)
     with pytest.raises(RemoError):
         ring_solve(doubled, b)
+
+
+# --- layout ---------------------------------------------------------------------------
+
+
+def test_ring_matrix_keeps_column_major_data():
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 2**64, (5, 7), dtype=np.uint64, endpoint=False)
+    cols = np.asfortranarray(rows)
+    m, twin = RingMatrix(cols, P64), RingMatrix(rows, P64)
+    assert m.data.flags.f_contiguous and np.shares_memory(m.data, cols)
+    assert not m.data.flags.writeable
+    assert np.shares_memory(column_major(m).data, cols)
+    assert m == twin and hash(m) == hash(twin) and m.to_ints() == twin.to_ints()
+    assert encode_matrix(m) == encode_matrix(twin)
+    assert decode_matrix(encode_matrix(m))[0] == m
+    # a column-major left operand (privacy checks multiply by the enclave's base)
+    wide = RingMatrix(rng.integers(0, 2**64, (7, 300), dtype=np.uint64, endpoint=False), P64)
+    assert m.rows * m.cols * wide.cols >= _EINSUM_MIN_MACS
+    product = ring_matmul(m, column_major(wide))
+    assert product.data.flags.c_contiguous and product == ring_matmul(twin, wide)
+
+    strided = RingMatrix(rows[:, ::2], P64)
+    assert strided.data.flags.c_contiguous and strided.to_ints() == rows[:, ::2].tolist()
+
+    small = np.full((3, 4), 255, dtype=np.uint64)
+    assert RingMatrix(np.asfortranarray(small), P8).data.flags.f_contiguous
+    small[2, 1] = 256  # out of the k = 8 ring
+    with pytest.raises(ShapeMismatch):
+        RingMatrix(np.asfortranarray(small), P8)
 
 
 # --- binary encoding ------------------------------------------------------------------
