@@ -16,9 +16,7 @@ from .model import (
     ModelConfig,
     ModelWeights,
     init_weights,
-    load_weights,
     reference_generate,
-    save_weights,
 )
 from .prg import PrgKey
 from .protocol import (
@@ -73,7 +71,6 @@ __all__ = [
     "encode_matrix",
     "encode_message",
     "init_weights",
-    "load_weights",
     "mask_embedding",
     "quantize",
     "recover",
@@ -82,5 +79,4 @@ __all__ = [
     "ring_add",
     "ring_matmul",
     "ring_sub",
-    "save_weights",
 ]

@@ -51,8 +51,7 @@ class RunConfig:
     d_ff: int = 64
     max_seq: int = 128
     eos_id: int = 0
-    # ring encoding
-    k: int = 64
+    # fixed-point fraction bits over Z_2^64
     f: int = 16
     # masking
     mask_ratio: float = 0.5
@@ -85,7 +84,7 @@ class RunConfig:
         return ModelConfig(
             vocab=self.vocab, d=self.d, layers=self.layers, heads=self.heads,
             d_ff=self.d_ff, max_seq=self.max_seq, eos_id=self.eos_id,
-            params=QuantParams(k=self.k, f=self.f),
+            params=QuantParams(f=self.f),
         )
 
     def seed_for(self, purpose: str) -> int:
@@ -217,6 +216,9 @@ def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
         "bytes_out": transport.bytes_out,
         "bytes_in": transport.bytes_in,
         "audit_passed": None if audit is None else audit.passed,
+        "audit": None if audit is None else {
+            name: {"ok": c.ok, "detail": c.detail} for name, c in audit.clauses.items()
+        },
     })
     ok = match and (audit is None or audit.passed)
     return 0 if ok else 1

@@ -15,7 +15,7 @@ mask_embedding; the private mixing matrix never crosses the wire.
 
 Limit: the mask spans only the m-dimensional row space of M_pub, and the
 provider receives M_pub at setup.  For the ring kernel N of M_pub
-(`ring.ring_kernel`, d x (d - m), M_pub @ N == 0 mod 2^k) every masked
+(`ring.ring_kernel`, d x (d - m), M_pub @ N == 0 mod 2^64) every masked
 row satisfies masked @ N == E @ N exactly, so d - m directions of each
 input reach the provider unmasked.  No choice of m closes this with one
 provider and exact recovery: the enclave must learn M @ W for every mask
@@ -108,7 +108,7 @@ def derive_step_mask(
 ) -> RingMatrix:
     """Fresh n x m private mixing matrix for one decoding step or block.
 
-    Uniform on Z_2^k, bound to the (step, op) labels so no two steps and
+    Uniform on Z_2^64, bound to the (step, op) labels so no two steps and
     no two ops in one step ever share a stream.  For a block of n rows
     (a prefilled prompt), `step` is the block's first position; later
     steps start after the block, so (step, op) still never repeats.

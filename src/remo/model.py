@@ -23,7 +23,6 @@ divergence between them is a protocol bug, not a modelling artifact.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +32,7 @@ from .errors import (
     BadDims,
     BadParams,
     CacheInconsistent,
-    DecodeError,
     EmptyInput,
-    LengthMismatch,
     SessionExhausted,
     ShapeMismatch,
     TokenOutOfRange,
@@ -45,9 +42,7 @@ from .ring import (
     QuantParams,
     RingMatrix,
     column_major,
-    decode_matrix,
     dequantize,
-    encode_matrix,
     quantize,
     rescale,
     ring_add,
@@ -55,8 +50,6 @@ from .ring import (
 )
 
 RMS_EPS = 1e-6
-WEIGHTS_MAGIC = b"RMW1"
-_WEIGHTS_HEADER = struct.Struct("<9I")  # vocab, d, layers, heads, d_ff, max_seq, eos, k, f
 
 _LAYER_OPS = ("wqkv", "wo", "wup", "wdown")
 HEAD_OP = "head"
@@ -199,55 +192,6 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     head = op(config.d, config.vocab, 1.0 / np.sqrt(config.d))
     return ModelWeights(
         config=config, embedding=embedding, layers=layers, final_gain=unit_gain, head=head
-    )
-
-
-def save_weights(weights: ModelWeights, path) -> None:
-    c = weights.config
-    parts = [
-        WEIGHTS_MAGIC,
-        _WEIGHTS_HEADER.pack(
-            c.vocab, c.d, c.layers, c.heads, c.d_ff, c.max_seq, c.eos_id, c.params.k, c.params.f
-        ),
-        encode_matrix(weights.embedding),
-    ]
-    for l in weights.layers:
-        for m in (l.wq, l.wk, l.wv, l.wo, l.wup, l.wdown, l.attn_gain, l.mlp_gain):
-            parts.append(encode_matrix(m))
-    parts.append(encode_matrix(weights.final_gain))
-    parts.append(encode_matrix(weights.head))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def load_weights(path) -> ModelWeights:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != WEIGHTS_MAGIC:
-        raise DecodeError("bad weights magic")
-    vocab, d, layers, heads, d_ff, max_seq, eos, k, f = _WEIGHTS_HEADER.unpack_from(buf, 4)
-    config = ModelConfig(
-        vocab=vocab, d=d, layers=layers, heads=heads, d_ff=d_ff, max_seq=max_seq,
-        eos_id=eos, params=QuantParams(k=k, f=f),
-    )
-    offset = 4 + _WEIGHTS_HEADER.size
-
-    def next_matrix() -> RingMatrix:
-        nonlocal offset
-        m, offset = decode_matrix(buf, offset)
-        return m
-
-    embedding = next_matrix()
-    layer_weights = []
-    for _ in range(config.layers):
-        layer_weights.append(LayerWeights(*(next_matrix() for _ in range(8))))
-    final_gain = next_matrix()
-    head = next_matrix()
-    if offset != len(buf):
-        raise LengthMismatch("trailing bytes after weights")
-    return ModelWeights(
-        config=config, embedding=embedding, layers=layer_weights,
-        final_gain=final_gain, head=head,
     )
 
 

@@ -64,15 +64,11 @@ class PrgKey:
             h.update(_label_bytes(part))
         return h.digest(nbytes)
 
-    def ring_elements(self, count: int, params: QuantParams, *labels) -> np.ndarray:
-        """count uniform elements of Z_2^k as uint64."""
+    def ring_elements(self, count: int, *labels) -> np.ndarray:
+        """count uniform elements of Z_2^64 as uint64."""
         raw = self.bytes_for(8 * count, *labels)
-        vals = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        if params.k < 64:
-            # keeping the low k bits of uniform bytes stays uniform on Z_2^k
-            vals = vals & np.uint64(params.mask)
-        return vals
+        return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
 
     def ring_matrix(self, rows: int, cols: int, params: QuantParams, *labels) -> RingMatrix:
-        vals = self.ring_elements(rows * cols, params, *labels)
+        vals = self.ring_elements(rows * cols, *labels)
         return RingMatrix(vals.reshape(rows, cols), params)

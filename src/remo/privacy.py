@@ -11,7 +11,7 @@ Three independent verifications:
   per-coordinate overlap (with its multi-dimensional product form) plus
   a grid-integration cross-check in up to 3 dimensions.
 
-* Sketch algebra over Z_2^k, the ring the provider's replies live in:
+* Sketch algebra over Z_2^64, the ring the provider's replies live in:
   with the rank and right kernel of a public base from odd-pivot
   elimination (`ring.ring_kernel`; kernel dimension d - m makes the
   weights non-identifiable from one sketch), explicit enumeration of
@@ -21,7 +21,7 @@ Three independent verifications:
 
 Bound experiments run on real-valued uniform masks, matching the
 analysis they verify.  Sketch algebra is exact integer arithmetic mod
-2^k: pools are ring values, so wraparound is part of the observable,
+2^64: pools are ring values, so wraparound is part of the observable,
 and a consistent candidate's residual is exactly zero.
 """
 
@@ -172,7 +172,7 @@ def enumerate_consistent_weights(m_pub: RingMatrix, r_pub: RingMatrix, count: in
     The pool is the raw ring product M_pub @ W, so every W0 + N @ Z solves
     it exactly.  Candidate i adds (1 + i // (nb * d_out)) times kernel
     column i % nb to column (i // nb) % d_out of W0; they are distinct
-    while that multiplier stays below 2^k.
+    while that multiplier stays below 2^64.
     """
     solved = ring_solve(m_pub, r_pub)
     if solved is None:

@@ -614,16 +614,13 @@ def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport
             True, f"skipped: only {n_samples} samples (< {_UNIFORMITY_MIN_SAMPLES})"
         )
     else:
-        # Low byte and top byte of each k-bit element (all k bits when k < 8).
-        # Fixed-point values at scale f have a near-uniform low byte even
-        # unmasked; their top byte is almost always all zeros or all ones.
-        k = requests[0].masked.params.k
-        bits = min(k, 8)
+        # Low byte and top byte of each element.  Fixed-point values at
+        # scale f have a near-uniform low byte even unmasked; their top byte
+        # is almost always all zeros or all ones.
         data = np.concatenate([m.masked.data.ravel() for m in requests])
-        low = data & np.uint64((1 << bits) - 1)
-        top = data >> np.uint64(k - bits)
-        stat_low, stat_top = (_chi_square(v, 1 << bits) for v in (low, top))
-        crit = float(chi2.ppf(1.0 - alpha, (1 << bits) - 1))
+        low, top = data & np.uint64(0xFF), data >> np.uint64(56)
+        stat_low, stat_top = (_chi_square(v, 256) for v in (low, top))
+        crit = float(chi2.ppf(1.0 - alpha, 255))
         clauses["uniformity"] = ClauseResult(
             max(stat_low, stat_top) <= crit,
             f"chi-square low byte {stat_low:.1f}, top byte {stat_top:.1f} "

@@ -1,19 +1,18 @@
-"""Exact fixed-point matrices over the ring Z_2^k.
+"""Exact fixed-point matrices over the ring Z_2^64.
 
 All outsourced linear algebra in this package runs on these matrices.
 Addition, subtraction and matrix products are exact modular integer
 arithmetic, so additive masking distributes over products with zero
 error: (E + M)W - MW == EW element-for-element, no tolerance.
 
-Representation: elements are canonical ``uint64`` values in [0, 2^k).
-Arithmetic is done in native uint64 (which wraps mod 2^64) and then
-reduced to the low k bits; since 2^k divides 2^64 the result is
-congruent mod 2^k, i.e. exact.
+Representation: elements are ``uint64`` values, and arithmetic is done
+in native uint64, which wraps mod 2^64, so it is exact ring arithmetic.
+The ring width is the constant `RING_BITS`.
 
 Fixed-point encoding: a ring element v encodes the real x = s(v) / 2^f
-where s(v) is the two's-complement interpretation of the low k bits.
-A product of two scale-f values lives at scale 2f; `rescale` shifts it
-back down with round-half-even.
+where s(v) is its two's-complement (int64) value.  A product of two
+scale-f values lives at scale 2f; `rescale` shifts it back down with
+round-half-even.
 
 `ring_matmul` picks one of three kernels from the shape and the right
 operand b, never from the values of the left operand a: numpy's uint64
@@ -33,7 +32,7 @@ do not depend on the layout.
 
 Linear systems over the ring are solved by one odd-pivot eliminator,
 `ring_solve` (`ring_kernel` is its homogeneous case): odd elements are
-the units of Z_2^k.
+the units of Z_2^64.
 """
 
 from __future__ import annotations
@@ -45,34 +44,26 @@ import numpy as np
 
 from .errors import BadDims, BadParams, DecodeError, LengthMismatch, RangeOverflow, ShapeMismatch
 
+RING_BITS = 64
 MATRIX_MAGIC = b"RMX1"
-_MATRIX_HEADER = struct.Struct("<IIBB")  # rows, cols, k, f
+_MATRIX_HEADER = struct.Struct("<IIBB")  # rows, cols, k (always RING_BITS), f
 
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Ring bit-width k and fraction bits f of the fixed-point encoding.
+    """Fraction bits f of the fixed-point encoding over Z_2^64.
 
-    Requires 1 <= f < k <= 64.  The representable real range is
-    |x| < 2^(k-f-1); quantize rejects anything outside it.
+    Requires 1 <= f < 64.  The representable real range is
+    |x| < 2^(63-f); quantize rejects anything outside it.
     """
 
-    k: int = 64
     f: int = 16
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.f, int)):
-            raise BadParams("k and f must be ints")
-        if not (1 <= self.f < self.k <= 64):
-            raise BadParams(f"need 1 <= f < k <= 64, got k={self.k} f={self.f}")
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.k
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.k) - 1
+        if not isinstance(self.f, int):
+            raise BadParams("f must be an int")
+        if not (1 <= self.f < RING_BITS):
+            raise BadParams(f"need 1 <= f < {RING_BITS}, got f={self.f}")
 
     @property
     def scale(self) -> float:
@@ -81,28 +72,26 @@ class QuantParams:
     @property
     def max_abs(self) -> float:
         """Strict upper bound on |x| accepted by quantize."""
-        return float(1 << (self.k - self.f - 1))
+        return float(1 << (RING_BITS - self.f - 1))
 
 
-def _as_canonical(data: np.ndarray, params: QuantParams) -> np.ndarray:
+def _as_canonical(data: np.ndarray) -> np.ndarray:
     arr = np.asarray(data, dtype=np.uint64)
     arr = arr if arr.flags.forc else np.ascontiguousarray(arr)  # C or F kept, anything else C
     if arr.ndim != 2:
         raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
-    if params.k < 64 and bool(np.any(arr > np.uint64(params.mask))):
-        raise ShapeMismatch(f"element out of ring range for k={params.k}")
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class RingMatrix:
-    """Immutable rows x cols matrix of canonical Z_2^k elements."""
+    """Immutable rows x cols matrix of Z_2^64 elements."""
 
     data: np.ndarray
     params: QuantParams
 
     def __post_init__(self) -> None:
-        arr = _as_canonical(self.data, self.params)
+        arr = _as_canonical(self.data)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -120,19 +109,19 @@ class RingMatrix:
 
     @classmethod
     def from_ints(cls, values, params: QuantParams) -> "RingMatrix":
-        """Build from arbitrary Python integers, reduced mod 2^k."""
+        """Build from arbitrary Python integers, reduced mod 2^64."""
         arr = np.array(values, dtype=object)
         if arr.ndim != 2:
             raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
-        reduced = np.vectorize(lambda v: int(v) % params.modulus, otypes=[object])(arr)
+        reduced = np.vectorize(lambda v: int(v) % (1 << RING_BITS), otypes=[object])(arr)
         return cls(reduced.astype(np.uint64), params)
 
     def to_ints(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self.data]
 
     def signed(self) -> np.ndarray:
-        """Two's-complement interpretation of the low k bits (int64)."""
-        return _to_signed(self.data, self.params)
+        """Two's-complement interpretation (an int64 view)."""
+        return self.data.view(np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingMatrix):
@@ -143,7 +132,7 @@ class RingMatrix:
         return hash((self.params, self.data.tobytes()))
 
     def __repr__(self) -> str:
-        return f"RingMatrix({self.rows}x{self.cols}, k={self.params.k}, f={self.params.f})"
+        return f"RingMatrix({self.rows}x{self.cols}, f={self.params.f})"
 
 
 def zeros(rows: int, cols: int, params: QuantParams) -> RingMatrix:
@@ -155,17 +144,6 @@ def column_major(a: RingMatrix) -> RingMatrix:
     return RingMatrix(np.asfortranarray(a.data), a.params)
 
 
-def _to_signed(data: np.ndarray, params: QuantParams) -> np.ndarray:
-    if params.k == 64:
-        return data.view(np.int64)
-    s = data.astype(np.int64)
-    half = np.int64(1 << (params.k - 1))
-    hi = s >= half
-    # subtract 2^k in two steps so k=63 stays inside int64
-    s = np.where(hi, (s - half) - half, s)
-    return s
-
-
 def _check_pair(a: RingMatrix, b: RingMatrix, *, same_shape: bool) -> None:
     if a.params != b.params:
         raise ShapeMismatch(f"quantization params differ: {a.params} vs {b.params}")
@@ -174,9 +152,9 @@ def _check_pair(a: RingMatrix, b: RingMatrix, *, same_shape: bool) -> None:
 
 
 def quantize(x, params: QuantParams) -> RingMatrix:
-    """Encode a real matrix at scale 2^f, round-half-even, reduced mod 2^k.
+    """Encode a real matrix at scale 2^f, round-half-even, mod 2^64.
 
-    Raises RangeOverflow when any |x_ij| >= 2^(k-f-1).
+    Raises RangeOverflow when any |x_ij| >= 2^(63-f).
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
@@ -184,13 +162,8 @@ def quantize(x, params: QuantParams) -> RingMatrix:
     if arr.size and not np.abs(arr).max() < params.max_abs:  # NaN fails the < too
         raise RangeOverflow(f"value outside representable range |x| < {params.max_abs}")
     scaled = np.rint(arr * params.scale)
-    # float64 has no values in (2^(k-1) - 0.5, 2^(k-1)) once k-1 > 53, and for
-    # smaller k the int64 range is ample, so this cast is always exact.
-    ivals = scaled.astype(np.int64)
-    data = ivals.view(np.uint64)
-    if params.k < 64:
-        data = data & np.uint64(params.mask)
-    return RingMatrix(data, params)
+    # float64 has no values in (2^63 - 0.5, 2^63), so this cast is always exact.
+    return RingMatrix(scaled.astype(np.int64).view(np.uint64), params)
 
 
 def dequantize(a: RingMatrix) -> np.ndarray:
@@ -199,25 +172,19 @@ def dequantize(a: RingMatrix) -> np.ndarray:
     Exact whenever |signed value| <= 2^53; ring elements produced by the
     model pipeline stay far below that.
     """
-    return _to_signed(a.data, a.params).astype(np.float64) / a.params.scale
+    return a.signed().astype(np.float64) / a.params.scale
 
 
 def ring_add(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Element-wise (a + b) mod 2^k."""
+    """Element-wise (a + b) mod 2^64."""
     _check_pair(a, b, same_shape=True)
-    out = a.data + b.data
-    if a.params.k < 64:
-        out = out & np.uint64(a.params.mask)
-    return RingMatrix(out, a.params)
+    return RingMatrix(a.data + b.data, a.params)
 
 
 def ring_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Element-wise (a - b) mod 2^k; exact inverse of ring_add."""
+    """Element-wise (a - b) mod 2^64; exact inverse of ring_add."""
     _check_pair(a, b, same_shape=True)
-    out = a.data - b.data
-    if a.params.k < 64:
-        out = out & np.uint64(a.params.mask)
-    return RingMatrix(out, a.params)
+    return RingMatrix(a.data - b.data, a.params)
 
 
 # ring_matmul has three kernels, chosen by shape and by b, never by the
@@ -276,23 +243,22 @@ def _blas_operand(b: RingMatrix) -> np.ndarray | None:
     """
     limit = ((1 << 53) - 1) // (((1 << _LIMB_BITS) - 1) * b.rows)
     s = b.signed()
-    if limit < 1 << (b.params.k - 1):
-        for part in (s[:1], s):
-            if part.max() > limit or part.min() < -limit:
-                return None
+    for part in (s[:1], s):
+        if part.max() > limit or part.min() < -limit:
+            return None
     return s.astype(np.float64)
 
 
-def _limb_matmul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """a @ b mod 2^64 for uint64 a < 2^k and the exact float64 operand b.
+def _limb_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod 2^64 for uint64 a and the exact float64 operand b.
 
-    Each chunk of rows stacks its ceil(k/16) limbs into one float64 GEMM,
-    so BLAS is entered once per chunk, not once per limb.
+    Each chunk of rows stacks its four limbs into one float64 GEMM, so
+    BLAS is entered once per chunk, not once per limb.
     """
     (rows, inner), cols = a.shape, b.shape[1]
-    nl = -(-k // _LIMB_BITS)
+    nl = RING_BITS // _LIMB_BITS
     # little-endian uint16 lanes of each element: lane i holds bits 16i..16i+15
-    lanes = np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(rows, inner, 4)
+    lanes = np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(rows, inner, nl)
     out = np.empty((rows, cols), dtype=np.uint64)
     chunk = min(rows, _BLAS_ROW_CHUNK)
     # GEMM rows are (row, limb) pairs, so a short last chunk is a prefix
@@ -302,7 +268,7 @@ def _limb_matmul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     for r in range(0, rows, chunk):
         n = min(chunk, rows - r)
         acc, p = out[r : r + n], part[:n].view(np.uint64)
-        limbs[:n] = lanes[r : r + n, :, :nl].transpose(0, 2, 1)
+        limbs[:n] = lanes[r : r + n].transpose(0, 2, 1)
         np.matmul(limbs[:n].reshape(n * nl, inner), b, out=prods[:n].reshape(n * nl, cols))
         for i in range(nl):
             part[:n] = prods[:n, i]  # exact: an integer below 2^53
@@ -315,11 +281,10 @@ def _limb_matmul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 
 def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Exact integer matrix product mod 2^k.
+    """Exact integer matrix product mod 2^64.
 
-    Every kernel computes the product mod 2^64, which is congruent mod
-    2^k for every k <= 64, so distributivity over ring_add holds
-    bit-exactly.  The result of scale-f operands lives at scale 2f.
+    Every kernel gives the same bits, so distributivity over ring_add
+    holds bit-exactly.  The result of scale-f operands lives at scale 2f.
     """
     _check_pair(a, b, same_shape=False)
     if a.cols != b.rows:
@@ -329,24 +294,21 @@ def ring_matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if a.rows >= _BLAS_MIN_ROWS and macs >= _BLAS_MIN_MACS:
         exact = _blas_operand(b)
     if exact is not None:
-        out = _limb_matmul(a.data, exact, a.params.k)
+        out = _limb_matmul(a.data, exact)
     elif macs >= _EINSUM_MIN_MACS:
         out = np.ascontiguousarray(np.einsum("ik,kj->ij", a.data, b.data))
     else:
         out = a.data @ b.data
-    if a.params.k < 64:
-        out = out & np.uint64(a.params.mask)
     return RingMatrix(out, a.params)
 
 
 def ring_solve(a: RingMatrix, b: RingMatrix) -> tuple[RingMatrix, RingMatrix] | None:
-    """All X with a @ X == b over Z_2^k, as (X0, N): X = X0 + N @ Z.
+    """All X with a @ X == b over Z_2^64, as (X0, N): X = X0 + N @ Z.
 
     Gauss-Jordan elimination of [a | b] with odd (unit) pivots.  A column
     with no odd entry among the rows not yet used as pivots stays free.
     N is d x (free columns) with a @ N == 0 and the identity at the free
-    rows; X0 is zero there.  Row operations wrap mod 2^64, which is
-    congruent mod 2^k, so the result is masked once at the end.  Returns
+    rows; X0 is zero there.  Row operations wrap mod 2^64.  Returns
     None when the system is inconsistent.  Raises BadDims when a row of a
     is left non-zero: such a matrix needs an even pivot, which this
     eliminator does not use.
@@ -369,11 +331,9 @@ def ring_solve(a: RingMatrix, b: RingMatrix) -> tuple[RingMatrix, RingMatrix] | 
         factor[r] = 0
         aug -= np.outer(factor, aug[r])
         pivots.append(c)
-    if a.params.k < 64:
-        aug &= np.uint64(a.params.mask)
     r = len(pivots)
     if np.any(aug[r:, :d]):
-        raise BadDims(f"{a.rows}x{d} matrix does not reduce with odd pivots mod 2^{a.params.k}")
+        raise BadDims(f"{a.rows}x{d} matrix does not reduce with odd pivots mod 2^{RING_BITS}")
     if np.any(aug[r:, d:]):
         return None
     free = [c for c in range(d) if c not in pivots]
@@ -382,13 +342,11 @@ def ring_solve(a: RingMatrix, b: RingMatrix) -> tuple[RingMatrix, RingMatrix] | 
     n = np.zeros((d, len(free)), dtype=np.uint64)
     n[free, np.arange(len(free))] = 1
     n[pivots] = np.uint64(0) - aug[:r, free]
-    if a.params.k < 64:
-        n &= np.uint64(a.params.mask)
     return RingMatrix(x0, a.params), RingMatrix(n, a.params)
 
 
 def ring_kernel(m: RingMatrix) -> tuple[int, RingMatrix]:
-    """Rank of m over Z_2^k and the basis N of its right kernel from ring_solve.
+    """Rank of m over Z_2^64 and the basis N of its right kernel from ring_solve.
 
     Every kernel vector is N @ z for one z.  Raises BadDims when m does
     not reduce with odd pivots.
@@ -401,7 +359,7 @@ def rescale(a: RingMatrix) -> RingMatrix:
     """Drop f fraction bits from a scale-2f value, round-half-even.
 
     Equivalent to round_half_even(s(v) / 2^f) on the two's-complement
-    value s(v), re-encoded mod 2^k.  With q = s(v) >> f (the floor) and
+    value s(v), re-encoded mod 2^64.  With q = s(v) >> f (the floor) and
     r the low f bits, round-half-even adds one exactly when
     r + (q & 1) > 2^(f-1): above the half step always, at it only for
     odd q.  Deterministic pure integer arithmetic.
@@ -412,15 +370,12 @@ def rescale(a: RingMatrix) -> RingMatrix:
     half = 1 << (p.f - 1)
     # r > half - (q & 1), not r + (q & 1) > half: at f = 63 that sum wraps int64
     inc = (s & ((1 << p.f) - 1)) > half - (q & 1)
-    out = (q + inc).view(np.uint64)
-    if p.k < 64:
-        out = out & np.uint64(p.mask)
-    return RingMatrix(out, p)
+    return RingMatrix((q + inc).view(np.uint64), p)
 
 
 def encode_matrix(a: RingMatrix) -> bytes:
     """RMX1 wire form: magic, rows u32 LE, cols u32 LE, k u8, f u8, elements u64 LE."""
-    header = MATRIX_MAGIC + _MATRIX_HEADER.pack(a.rows, a.cols, a.params.k, a.params.f)
+    header = MATRIX_MAGIC + _MATRIX_HEADER.pack(a.rows, a.cols, RING_BITS, a.params.f)
     return header + a.data.astype("<u8").tobytes()
 
 
@@ -432,8 +387,10 @@ def decode_matrix(buf: bytes, offset: int = 0) -> tuple[RingMatrix, int]:
     if buf[offset : offset + 4] != MATRIX_MAGIC:
         raise DecodeError("bad matrix magic")
     rows, cols, k, f = _MATRIX_HEADER.unpack_from(buf, offset + 4)
+    if k != RING_BITS:
+        raise DecodeError(f"ring width k={k}, only {RING_BITS} is supported")
     try:
-        params = QuantParams(k=k, f=f)
+        params = QuantParams(f=f)
     except BadParams as exc:
         raise DecodeError(str(exc)) from exc
     body = rows * cols * 8
@@ -441,7 +398,4 @@ def decode_matrix(buf: bytes, offset: int = 0) -> tuple[RingMatrix, int]:
     if len(buf) - start < body:
         raise LengthMismatch("truncated matrix body")
     flat = np.frombuffer(buf, dtype="<u8", count=rows * cols, offset=start)
-    data = flat.astype(np.uint64).reshape(rows, cols)
-    if params.k < 64 and bool(np.any(data > np.uint64(params.mask))):
-        raise DecodeError("non-canonical ring element")
-    return RingMatrix(data, params), start + body
+    return RingMatrix(flat.astype(np.uint64).reshape(rows, cols), params), start + body

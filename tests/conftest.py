@@ -41,9 +41,9 @@ def random_message(rng: np.random.Generator):
     return ErrorReply("ShapeMismatch", "x" * int(rng.integers(0, 40)))
 
 
-def slow_matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
-    """Schoolbook integer matmul reduced mod 2^k, pure Python ints."""
-    mod = 1 << k
+def slow_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Schoolbook integer matmul reduced mod 2^64, pure Python ints."""
+    mod = 1 << 64
     rows, inner, cols = len(a), len(b), len(b[0])
     return [
         [sum(a[i][t] * b[t][j] for t in range(inner)) % mod for j in range(cols)]

@@ -83,6 +83,9 @@ def test_demo_exit_zero_and_report(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["reference_match"] is True
     assert report["audit_passed"] is True
+    audit = report["audit"]
+    assert sorted(audit) == ["direction", "freshness", "schema", "uniformity"]
+    assert all(clause["ok"] is True and clause["detail"] for clause in audit.values())
     assert (tmp_path / "out" / "meta.json").exists()
     assert "response tokens" in capsys.readouterr().out
 
@@ -119,6 +122,7 @@ def test_env_seed_overrides(tmp_path):
     "command, config, flags, error",
     [
         ("demo", "mask_ratio = 1.5", [], "BadParams"),
+        ("demo", "k = 64", [], "ParseError"),
         ("demo", "vocab = 1", [], "BadParams"),
         ("demo", "heads = 5", [], "BadParams"),
         ("demo", "corpus_kind = text", [], "BadParams"),
@@ -128,7 +132,7 @@ def test_env_seed_overrides(tmp_path):
         ("privacy", "attack_op = nope", [], "UnknownOp"),
     ],
     ids=[
-        "mask_ratio", "vocab", "heads", "corpus_kind", "transport-no-port",
+        "mask_ratio", "ring-width", "vocab", "heads", "corpus_kind", "transport-no-port",
         "transport-bad-port", "game_trials", "attack_op",
     ],
 )

@@ -1,10 +1,12 @@
 """Structural guards: the wire-error registry, the shape of the public API and what `import remo` loads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 
 import remo
 from remo import errors
-from remo.errors import ProtocolError, RemoError
+from remo.cli import RunConfig
+from remo.errors import BadParams, ProtocolError, RemoError
 from remo.protocol import Enclave
 from remo.ring import QuantParams
 
@@ -41,8 +44,37 @@ def test_unknown_error_code_is_protocol_error():
 
 
 def test_bad_ring_params_are_remo_errors():
-    with pytest.raises(RemoError):
-        QuantParams(k=65)
+    for f in (0, 64):
+        with pytest.raises(BadParams):
+            QuantParams(f=f)
+
+
+def test_ring_width_is_a_constant_not_a_parameter():
+    # the ring is Z_2^64; only the fraction bits of the encoding vary
+    assert tuple(f.name for f in dataclasses.fields(QuantParams)) == ("f",)
+    width_knob = re.compile(r"params\.k\b|\.mask\b|\.modulus\b")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(remo.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if width_knob.search(line)
+    ]
+    assert not offenders
+
+
+def test_run_config_knobs_are_pinned():
+    # a new knob is a visible edit here, not a silent addition to RunConfig
+    assert tuple(f.name for f in dataclasses.fields(RunConfig)) == (
+        "vocab", "d", "layers", "heads", "d_ff", "max_seq", "eos_id",
+        "f",
+        "mask_ratio",
+        "seed",
+        "transport", "timeout_s", "out_dir",
+        "prompts", "prompt_len", "max_new", "corpus_kind",
+        "attack_prompts", "attack_prompt_len", "attack_max_new", "attack_op",
+        "lambda_ratios", "game_trials", "consistent_count", "stacking_attempts",
+        "serve_host", "serve_port",
+    )
 
 
 def test_every_raise_names_a_remo_error():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
 from remo.errors import ProtocolError, ShapeMismatch, SketchReissue, TransportClosed
-from remo.model import ModelConfig, init_weights, load_weights, reference_generate, save_weights
+from remo.model import ModelConfig, init_weights, reference_generate
 from remo.protocol import (
     CloseSession,
     Enclave,
@@ -291,7 +291,7 @@ def test_wide_model_golden_tokens():
     assert enclave.run_session(InProcTransport(provider), WIDE_PROMPT, 8) == WIDE_GOLDEN
 
 
-def test_fixed_right_operands_are_held_once_column_major(tmp_path):
+def test_fixed_right_operands_are_held_once_column_major():
     weights = init_weights(WIDE_CFG, seed=1234)
     layer = weights.layers[0]
     for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.wup, layer.wdown, weights.head):
@@ -315,14 +315,13 @@ def test_fixed_right_operands_are_held_once_column_major(tmp_path):
         assert sent[op_id].data.flags.c_contiguous  # the wire form is unchanged
         assert base.public_base == sent[op_id] and base.pool == pools[op_id], op_id
 
-    # weights read back from a file are row-major; the provider converts them once
-    path = tmp_path / "toy.rmw"
-    save_weights(init_weights(ModelConfig(), seed=1234), path)
-    loaded = load_weights(path).provider_view()
-    assert all(w.data.flags.c_contiguous for w in loaded.values())
-    converted = ProviderState(loaded, P).ops
+    # row-major weights handed to the provider are converted once
+    rows = {op_id: RingMatrix(np.ascontiguousarray(w.data), P)
+            for op_id, w in init_weights(ModelConfig(), seed=1234).provider_view().items()}
+    assert all(w.data.flags.c_contiguous for w in rows.values())
+    converted = ProviderState(rows, P).ops
     assert all(converted[op_id].data.flags.f_contiguous and converted[op_id] == w
-               for op_id, w in loaded.items())
+               for op_id, w in rows.items())
 
 
 def test_second_enclave_against_same_provider_refused(toy_weights, toy_world):
@@ -446,6 +445,31 @@ def test_tcp_malformed_first_frame_gets_error_reply(toy_weights):
         assert isinstance(reply, ErrorReply)
         assert sock.recv(1) == b""  # provider closed after the error
         sock.close()
+    finally:
+        server.shutdown()
+
+
+def _with_ring_width(frame: bytes, k: int) -> bytes:
+    """`frame` with the k byte of its one RMX1 header set to `k`."""
+    at = frame.index(b"RMX1") + 12  # after magic, rows u32 and cols u32
+    return frame[:at] + bytes([k]) + frame[at + 1 :]
+
+
+def test_frame_with_ring_width_other_than_64_is_refused(toy_weights):
+    frame = encode_message(SetupBase("l0.wqkv", RingMatrix.from_ints([[1, 2], [3, 4]], P)))
+    assert decode_message(_with_ring_width(frame, 64)) == decode_message(frame)
+    server = ProviderServer(ProviderState(toy_weights.provider_view(), P), port=0)
+    try:
+        for k in (0, 8, 32, 63, 65, 255):
+            bad = _with_ring_width(frame, k)
+            with pytest.raises(errors.DecodeError):
+                decode_message(bad)
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                sock.sendall(bad)
+                header = sock.recv(4)
+                (length,) = struct.unpack("<I", header)
+                reply = decode_message(header + sock.recv(length))
+                assert isinstance(reply, ErrorReply) and reply.code == "DecodeError", (k, reply)
     finally:
         server.shutdown()
 
@@ -582,19 +606,12 @@ def test_honest_transcript_passes_audit(toy_world):
 
 
 def test_uniformity_critical_value_is_chi2_ppf(toy_world):
-    # the clause compares with chi2.ppf(1 - alpha, 2^bits - 1), shown to 0.1
+    # the clause compares each byte with chi2.ppf(1 - alpha, 255), shown to 0.1
     _, _, enclave, transport, transcript = toy_world
     for prompt in ([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]):
         enclave.run_session(transport, prompt, 8)
     honest = audit_transcript(transcript).clauses["uniformity"]
-    assert honest.ok and "vs critical 310.5 at alpha=0.01" in honest.detail  # k = 64: df 255
-
-    p6 = QuantParams(k=6, f=2)
-    data = np.random.default_rng(5).integers(0, 64, size=(40, 64), dtype=np.uint64)
-    synthetic = Transcript()
-    synthetic.append(remo.protocol.TO_PROVIDER, MatMulRequest(1, 0, "head", RingMatrix(data, p6)))
-    small = audit_transcript(synthetic).clauses["uniformity"]
-    assert small.ok and "vs critical 92.0 at alpha=0.01" in small.detail  # k = 6: df 63
+    assert honest.ok and "vs critical 310.5 at alpha=0.01" in honest.detail
 
 
 def test_no_masking_fails_uniformity(toy_world, monkeypatch):

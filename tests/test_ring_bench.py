@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from remo.model import ModelConfig, init_weights
-from remo.ring import QuantParams, RingMatrix, _blas_operand, column_major, rescale, ring_matmul
+from remo.ring import RING_BITS, QuantParams, RingMatrix, _blas_operand, column_major, rescale, ring_matmul
 
 P64 = QuantParams()
 WIDE = ModelConfig(vocab=256, d=256, layers=1, heads=8, d_ff=1024)
@@ -58,7 +58,7 @@ def test_bench_rescale_1x96(benchmark):
     rng = np.random.default_rng(96)
     a = RingMatrix(rng.integers(0, 2**64, (1, 96), dtype=np.uint64), P64)
     out = benchmark.pedantic(rescale, args=(a,), rounds=200, warmup_rounds=2)
-    k, f = P64.k, P64.f
+    k, f = RING_BITS, P64.f
     signed = [int(v) - (1 << k) * (int(v) >> (k - 1)) for v in a.data[0]]
     want = [round(Fraction(s, 1 << f)) % (1 << k) for s in signed]  # round half to even
     assert out.data[0].tolist() == want
