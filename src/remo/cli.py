@@ -24,7 +24,7 @@ import numpy as np
 
 from . import attack as atk
 from . import privacy as pv
-from .errors import EmptyRun, ParseError, RemoError, TransportClosed
+from .errors import EmptyRun, ParseError, RemoError
 from .model import ModelConfig, init_weights, reference_generate
 from .privacy import GameConfig
 from .protocol import (
@@ -169,13 +169,12 @@ class _CountingTransport:
         self.inner.close()
 
 
-def _build_world(cfg: RunConfig):
-    """Weights, in-proc provider (with transcript) and enclave from one config."""
+def _build_world(cfg: RunConfig, transcript: Transcript | None = None):
+    """Weights, in-proc provider (logging into `transcript`, if any) and enclave from one config."""
     weights = init_weights(cfg.model_config(), cfg.seed_for("model"))
-    transcript = Transcript()
     provider = ProviderState(weights.provider_view(), cfg.model_config().params, transcript=transcript)
     enclave = Enclave(weights.enclave_view(), cfg.seed_for("session"), mask_ratio=cfg.mask_ratio)
-    return weights, provider, enclave, transcript
+    return weights, provider, enclave
 
 
 def _open_transport(cfg: RunConfig, provider: ProviderState):
@@ -190,7 +189,8 @@ def _open_transport(cfg: RunConfig, provider: ProviderState):
 
 
 def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
-    weights, provider, enclave, transcript = _build_world(cfg)
+    transcript = Transcript()
+    weights, provider, enclave = _build_world(cfg, transcript)
     prompt = atk.make_corpus(1, cfg.prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind)[0]
     transport = _CountingTransport(_open_transport(cfg, provider))
     try:
@@ -227,7 +227,7 @@ def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.prompts < 1:
         raise EmptyRun("invariance needs at least one prompt")
-    weights, provider, enclave, _ = _build_world(cfg)
+    weights, provider, enclave = _build_world(cfg)
     prompts = atk.make_corpus(cfg.prompts, cfg.prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind)
     transport = _open_transport(cfg, provider)
     rows = []
@@ -262,9 +262,7 @@ def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
-    weights = init_weights(cfg.model_config(), cfg.seed_for("model"))
-    provider = ProviderState(weights.provider_view(), cfg.model_config().params)  # no transcript: keep memory flat
-    enclave = Enclave(weights.enclave_view(), cfg.seed_for("session"), mask_ratio=cfg.mask_ratio)
+    weights, provider, enclave = _build_world(cfg)
     prompts = atk.make_corpus(
         cfg.attack_prompts, cfg.attack_prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind
     )
@@ -324,7 +322,7 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     tv_ok = abs(closed - grid) < 0.02 and closed <= min(float(np.sum(np.abs(delta))), 1.0)
     print(f"2-dim TV: closed-form={closed:.4f} grid={grid:.4f} l1-bound dominates: {tv_ok}")
 
-    weights, provider, enclave, _ = _build_world(cfg)
+    weights, provider, enclave = _build_world(cfg)
     transport = InProcTransport(provider)
     enclave.setup(transport)
     kernel_rows = []
@@ -347,7 +345,7 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     print(f"consistent weights: {len(candidates)} candidates, max residual={max(residuals):.2e}, "
           f"distinct={distinct} [{'pass' if consistent_ok else 'FAIL'}]")
 
-    true_w = weights.op_matrix(cfg.attack_op)
+    true_w = weights.ops[cfg.attack_op]
     m = base.m
     single = pv.stacking_attack_demo([(base.public_base, base.pool)], true_w)
     stack_rep = None
@@ -452,9 +450,6 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
         })
         return code
-    except TransportClosed as exc:
-        print(f"error: TransportClosed: {exc}", file=sys.stderr)
-        return 2
     except RemoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -64,10 +64,6 @@ class BindFailure(RemoError):
     pass
 
 
-class AuditFail(RemoError):
-    pass
-
-
 class EmptyClass(RemoError):
     pass
 

@@ -7,7 +7,9 @@ Each layer has four (the fused QKV projection by the d x 3d matrix
 output; MLP up and down), and the output head is one more.  Everything
 else (RMSNorm, attention scores/softmax, SiLU, residuals, greedy
 sampling) is "structural": computed on dequantized reals inside the
-enclave and re-quantized at the boundary.
+enclave and re-quantized at the boundary.  `ModelWeights` holds each op
+matrix once, as the provider applies it (QKV fused in `init_weights`),
+next to the embedding and norm gains the enclave applies.
 
 A prompt is fed as one block (one n-row product per op, and one
 attention call in which each row reads its causal cache prefix), and
@@ -102,49 +104,28 @@ class ModelConfig:
 
 
 @dataclass
-class LayerWeights:
-    wq: RingMatrix
-    wk: RingMatrix
-    wv: RingMatrix
-    wo: RingMatrix
-    wup: RingMatrix
-    wdown: RingMatrix
-    attn_gain: RingMatrix  # 1 x d
-    mlp_gain: RingMatrix  # 1 x d
-
-
-@dataclass
 class ModelWeights:
-    """Full parameter bundle. Only the provider_view leaves this object
-    toward the provider; only the enclave_view reaches the enclave."""
+    """The model in the two forms it is used in: `ops` maps each op id, in
+    `config.op_ids()` order, to the column-major matrix the provider
+    applies (`l{i}.wqkv` fused once, in `init_weights`); the row-major
+    embedding and the read-only float64 norm gains are what the enclave
+    applies."""
 
     config: ModelConfig
     embedding: RingMatrix  # vocab x d
-    layers: list[LayerWeights]
-    final_gain: RingMatrix  # 1 x d
-    head: RingMatrix  # d x vocab
-
-    def op_matrix(self, op_id: str) -> RingMatrix:
-        if op_id == HEAD_OP:
-            return self.head
-        layer, name = op_id.split(".", 1)
-        lw = self.layers[int(layer[1:])]
-        if name == "wqkv":
-            return RingMatrix(np.hstack([lw.wq.data, lw.wk.data, lw.wv.data]), lw.wq.params)
-        return getattr(lw, name)
+    ops: dict[str, RingMatrix]
+    attn_gains: list[np.ndarray]  # per layer, d
+    mlp_gains: list[np.ndarray]  # per layer, d
+    final_gain: np.ndarray  # d
 
     def provider_view(self) -> dict[str, RingMatrix]:
-        """The weight matrices the provider applies to masked inputs."""
-        return {op: self.op_matrix(op) for op in self.config.op_ids()}
+        """The very matrices in `ops`, which the provider applies to masked inputs."""
+        return dict(self.ops)
 
     def enclave_view(self) -> "EnclaveParams":
         """Structural parameters: embedding table and norm gains."""
         return EnclaveParams(
-            config=self.config,
-            embedding=self.embedding,
-            attn_gains=[dequantize(l.attn_gain)[0] for l in self.layers],
-            mlp_gains=[dequantize(l.mlp_gain)[0] for l in self.layers],
-            final_gain=dequantize(self.final_gain)[0],
+            self.config, self.embedding, self.attn_gains, self.mlp_gains, self.final_gain
         )
 
 
@@ -160,38 +141,32 @@ class EnclaveParams:
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Seeded uniform init: projections in +-1/sqrt(d_in), embeddings in +-1.
 
-    Op matrices, only ever right operands, are drawn row-major and stored
-    column-major (`ring.column_major`); embedding and gains stay row-major."""
+    Draws the embedding, then per layer Wq, Wk, Wv (stacked into the one
+    d x 3d matrix [Wq|Wk|Wv]), Wo, Wup and Wdown, then the head.  Op
+    matrices, only ever right operands, are stored column-major
+    (`ring.column_major`); the embedding stays row-major."""
     rng = default_rng(seed)
-    p = config.params
+    p, d, d_ff = config.params, config.d, config.d_ff
+    b_d, b_ff = 1.0 / np.sqrt(d), 1.0 / np.sqrt(d_ff)
 
-    def mat(rows: int, cols: int, bound: float) -> RingMatrix:
-        return quantize(rng.uniform(-bound, bound, size=(rows, cols)), p)
+    def draw(rows: int, cols: int, bound: float) -> np.ndarray:
+        return rng.uniform(-bound, bound, size=(rows, cols))
 
-    def op(rows: int, cols: int, bound: float) -> RingMatrix:
-        return column_major(mat(rows, cols, bound))
+    def op(x: np.ndarray) -> RingMatrix:
+        return column_major(quantize(x, p))
 
-    unit_gain = quantize(np.ones((1, config.d)), p)
-    embedding = mat(config.vocab, config.d, 1.0)
-    layers = []
-    for _ in range(config.layers):
-        b_d = 1.0 / np.sqrt(config.d)
-        b_ff = 1.0 / np.sqrt(config.d_ff)
-        layers.append(
-            LayerWeights(
-                wq=op(config.d, config.d, b_d),
-                wk=op(config.d, config.d, b_d),
-                wv=op(config.d, config.d, b_d),
-                wo=op(config.d, config.d, b_d),
-                wup=op(config.d, config.d_ff, b_d),
-                wdown=op(config.d_ff, config.d, b_ff),
-                attn_gain=unit_gain,
-                mlp_gain=unit_gain,
-            )
-        )
-    head = op(config.d, config.vocab, 1.0 / np.sqrt(config.d))
+    embedding = quantize(draw(config.vocab, d, 1.0), p)
+    ops = {}
+    for i in range(config.layers):
+        ops[f"l{i}.wqkv"] = op(np.hstack([draw(d, d, b_d) for _ in range(3)]))
+        ops[f"l{i}.wo"] = op(draw(d, d, b_d))
+        ops[f"l{i}.wup"] = op(draw(d, d_ff, b_d))
+        ops[f"l{i}.wdown"] = op(draw(d_ff, d, b_ff))
+    ops[HEAD_OP] = op(draw(d, config.vocab, b_d))
+    gain = dequantize(quantize(np.ones((1, d)), p))[0]
+    gain.setflags(write=False)
     return ModelWeights(
-        config=config, embedding=embedding, layers=layers, final_gain=unit_gain, head=head
+        config, embedding, ops, [gain] * config.layers, [gain] * config.layers, gain
     )
 
 

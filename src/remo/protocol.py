@@ -24,7 +24,6 @@ import numpy as np
 
 from . import errors
 from .errors import (
-    AuditFail,
     BadParams,
     BindFailure,
     DecodeError,
@@ -261,20 +260,19 @@ class ProviderState:
             return type(msg)(msg.session)
         raise ProtocolError(f"provider cannot handle {type(msg).__name__}")
 
-    def _weights_for(self, op_id: str) -> RingMatrix:
+    def _weights_for(self, op_id: str, x: RingMatrix, what: str) -> RingMatrix:
+        """The weights `x` (the request's `what`) is multiplied by, once it fits them."""
         w = self.ops.get(op_id)
         if w is None:
             raise UnknownOp(f"no weight matrix registered for {op_id!r}")
+        if x.cols != w.rows:
+            raise ShapeMismatch(f"{what} for {op_id!r} has {x.cols} cols, weights expect {w.rows}")
+        if x.params != self.params:
+            raise ShapeMismatch(f"{what} params differ from provider params")
         return w
 
     def _setup(self, msg: SetupBase) -> PoolReply:
-        w = self._weights_for(msg.op_id)
-        if msg.base.cols != w.rows:
-            raise ShapeMismatch(
-                f"base for {msg.op_id!r} has {msg.base.cols} cols, weights expect {w.rows}"
-            )
-        if msg.base.params != self.params:
-            raise ShapeMismatch("base params differ from provider params")
+        w = self._weights_for(msg.op_id, msg.base, "base")
         with self._lock:
             if msg.op_id in self.issued:
                 raise SketchReissue(f"base for {msg.op_id!r} already issued")
@@ -283,13 +281,7 @@ class ProviderState:
         return PoolReply(msg.op_id, ring_matmul(msg.base, w))
 
     def _matmul(self, msg: MatMulRequest) -> MatMulReply:
-        w = self._weights_for(msg.op_id)
-        if msg.masked.cols != w.rows:
-            raise ShapeMismatch(
-                f"input for {msg.op_id!r} has {msg.masked.cols} cols, weights expect {w.rows}"
-            )
-        if msg.masked.params != self.params:
-            raise ShapeMismatch("input params differ from provider params")
+        w = self._weights_for(msg.op_id, msg.masked, "input")
         return MatMulReply(msg.session, msg.step, msg.op_id, ring_matmul(msg.masked, w))
 
 
@@ -563,11 +555,6 @@ class AuditReport:
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.clauses.values())
-
-    def raise_if_failed(self) -> None:
-        for name, clause in self.clauses.items():
-            if not clause.ok:
-                raise AuditFail(f"audit clause {name!r} violated: {clause.detail}")
 
 
 def _chi_square(values: np.ndarray, bins: int) -> float:

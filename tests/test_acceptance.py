@@ -173,7 +173,7 @@ def test_criterion_5_non_identifiability(acfg, aweights):
     distinct = len(set(candidates)) == 10
     consistent_ok = max(residuals) <= 1e-9 and distinct
 
-    true_w = aweights.op_matrix(acfg.attack_op)
+    true_w = aweights.ops[acfg.attack_op]
     single = pv.stacking_attack_demo([(base.public_base, base.pool)], true_w)
     stacked = None
     for attempt in range(acfg.stacking_attempts):

@@ -1,4 +1,7 @@
-"""Structural ops, the decoder engine, and the weight file format."""
+"""Structural ops, the decoder engine, and how the weights are held."""
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from remo.model import (
     rms_norm,
     silu,
 )
-from remo.ring import QuantParams, RingMatrix, dequantize, quantize
+from remo.ring import QuantParams, RingMatrix, dequantize, encode_matrix, quantize
 
 P = QuantParams()
 CFG = ModelConfig()
@@ -307,7 +310,7 @@ def test_generate_eos_terminates_immediately():
     # zero head: every logit ties at 0, the tie-break picks token 0 == eos
     weights = init_weights(CFG, seed=5)
     zero_head = RingMatrix(np.zeros((CFG.d, CFG.vocab), dtype=np.uint64), P)
-    weights.head = zero_head
+    weights.ops["head"] = zero_head
     out = reference_generate(weights, [4, 9, 12], max_new=8)
     assert out == [CFG.eos_id]
 
@@ -320,11 +323,12 @@ def test_generate_stops_at_eos_mid_stream(toy_weights):
 
 
 def test_weight_permutation_changes_outputs(toy_weights):
-    # sanity anti-test: swapping two projections must not go unnoticed
-    import copy
-
-    mutated = copy.deepcopy(toy_weights)
-    mutated.layers[0].wq, mutated.layers[0].wk = mutated.layers[0].wk, mutated.layers[0].wq
+    # sanity anti-test: swapping two projections (Wq and Wk) must not go unnoticed
+    fused = toy_weights.ops["l0.wqkv"]
+    wq, wk, wv = np.split(fused.data, 3, axis=1)
+    mutated = dataclasses.replace(
+        toy_weights, ops={**toy_weights.ops, "l0.wqkv": RingMatrix(np.hstack([wk, wq, wv]), P)}
+    )
     prompts = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [2, 7, 1, 8, 2]]
     diffs = [
         reference_generate(toy_weights, p, 8) != reference_generate(mutated, p, 8)
@@ -333,12 +337,47 @@ def test_weight_permutation_changes_outputs(toy_weights):
     assert any(diffs)
 
 
-def test_wqkv_op_matrix_is_the_column_concatenation(toy_weights):
+def _weights_digest(cfg: ModelConfig) -> str:
+    """SHA-256 of every op matrix, the embedding and the gains, whatever their memory layout."""
+    weights = init_weights(cfg, seed=1234)
+    ops, enclave = weights.provider_view(), weights.enclave_view()
+    h = hashlib.sha256()
+    for op in cfg.op_ids():
+        h.update(op.encode() + encode_matrix(ops[op]))
+    h.update(encode_matrix(enclave.embedding))
+    for gain in [*enclave.attn_gains, *enclave.mlp_gains, enclave.final_gain]:
+        h.update(np.asarray(gain, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cfg,want",
+    [
+        (CFG, "837450cfffa7a7c9a288ea907135f4c7aafc86f98e913dc715bf0df849334925"),
+        (
+            ModelConfig(vocab=256, d=256, layers=2, heads=8, d_ff=1024),
+            "9dfc9a0f7299f7a1db3f434cdc4e9454b9aa5ff1a03932ea3aa5812c8afaede9",
+        ),
+    ],
+    ids=["toy", "wide"],
+)
+def test_init_weights_digest_pinned(cfg, want):
+    # any change to the draw order, the QKV fusion or the gains moves these digests
+    assert _weights_digest(cfg) == want
+
+
+def test_weights_are_held_once_as_applied(toy_weights):
     assert CFG.op_dims("l0.wqkv") == (CFG.d, 3 * CFG.d)
-    for i, layer in enumerate(toy_weights.layers):
-        fused = toy_weights.op_matrix(f"l{i}.wqkv")
-        assert fused.params == P
-        assert np.array_equal(fused.data, np.hstack([layer.wq.data, layer.wk.data, layer.wv.data]))
+    assert list(toy_weights.ops) == CFG.op_ids()
+    first, second = toy_weights.provider_view(), toy_weights.provider_view()
+    for op_id, w in toy_weights.ops.items():
+        assert first[op_id] is w and second[op_id] is w, op_id
+        assert w.shape == CFG.op_dims(op_id) and w.params == P
+    enclave = toy_weights.enclave_view()
+    assert enclave.embedding is toy_weights.embedding
+    for gain in [*enclave.attn_gains, *enclave.mlp_gains, enclave.final_gain]:
+        assert gain.dtype == np.float64 and gain.shape == (CFG.d,)
+        assert not gain.flags.writeable
 
 
 class _RecordingOps(LocalWeightedOps):

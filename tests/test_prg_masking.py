@@ -207,9 +207,10 @@ def test_wqkv_pool_is_the_column_concatenation(toy_weights):
     # the provider's fused pool is base@Wq | base@Wk | base@Wv
     enclave = Enclave(toy_weights.enclave_view(), master_seed=3)
     enclave.setup(InProcTransport(ProviderState(toy_weights.provider_view(), P)))
-    for i, layer in enumerate(toy_weights.layers):
+    for i in range(toy_weights.config.layers):
         base = enclave.bases[f"l{i}.wqkv"]
-        parts = [ring_matmul(base.public_base, w).data for w in (layer.wq, layer.wk, layer.wv)]
+        blocks = np.split(toy_weights.ops[f"l{i}.wqkv"].data, 3, axis=1)
+        parts = [ring_matmul(base.public_base, RingMatrix(w, P)).data for w in blocks]
         assert np.array_equal(base.pool.data, np.concatenate(parts, axis=1))
 
 

@@ -124,7 +124,7 @@ def test_setup_reply_shape_and_oracle(toy_world):
     assert isinstance(reply, PoolReply)
     assert reply.pool.shape == (16, 96)
     # local oracle recomputation on the provider's own weight matrix
-    assert reply.pool == ring_matmul(base, weights.op_matrix("l0.wqkv"))
+    assert reply.pool == ring_matmul(base, weights.ops["l0.wqkv"])
 
 
 def test_setup_reissue_refused(toy_world):
@@ -156,7 +156,7 @@ def test_matmul_matches_local_oracle(toy_world):
     reply = provider.handle(MatMulRequest(1, 0, "l0.wqkv", x))
     assert isinstance(reply, MatMulReply)
     assert (reply.session, reply.step, reply.op_id) == (1, 0, "l0.wqkv")
-    assert reply.product == ring_matmul(x, weights.op_matrix("l0.wqkv"))
+    assert reply.product == ring_matmul(x, weights.ops["l0.wqkv"])
 
 
 def test_matmul_unknown_op(toy_world):
@@ -293,11 +293,9 @@ def test_wide_model_golden_tokens():
 
 def test_fixed_right_operands_are_held_once_column_major():
     weights = init_weights(WIDE_CFG, seed=1234)
-    layer = weights.layers[0]
-    for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.wup, layer.wdown, weights.head):
-        assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
-    for table in (weights.embedding, layer.attn_gain, layer.mlp_gain, weights.final_gain):
-        assert table.data.flags.c_contiguous
+    for op_id, w in weights.ops.items():
+        assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous, op_id
+    assert weights.embedding.data.flags.c_contiguous
     view = weights.provider_view()
     transcript = Transcript()
     provider = ProviderState(view, WIDE_CFG.params, transcript=transcript)
@@ -622,8 +620,6 @@ def test_no_masking_fails_uniformity(toy_world, monkeypatch):
         enclave.run_session(transport, rng.integers(0, 64, 5).tolist(), 4)
     report = audit_transcript(transcript)
     assert not report.clauses["uniformity"].ok
-    with pytest.raises(errors.AuditFail):
-        report.raise_if_failed()
 
 
 def test_one_raw_copy_per_step_fails_uniformity(toy_world, monkeypatch):

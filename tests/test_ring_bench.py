@@ -46,7 +46,7 @@ def test_bench_ring_matmul(benchmark, n, inner, cols, rounds, layout):
     ids=["pool-128x256@256x1024", "prefill-16x256@256x768", "decode-1x1024@1024x256"],
 )
 def test_bench_ring_matmul_weights(benchmark, n, op_id, rounds):
-    w = init_weights(WIDE, seed=1234).op_matrix(op_id)
+    w = init_weights(WIDE, seed=1234).ops[op_id]
     assert _blas_operand(w) is not None
     rng = np.random.default_rng(n)
     a = RingMatrix(rng.integers(0, 2**64, (n, w.rows), dtype=np.uint64), P64)
