@@ -24,6 +24,7 @@ from .protocol import (
     InProcTransport,
     ProviderServer,
     ProviderState,
+    RecordingTransport,
     TcpTransport,
     Transcript,
     audit_transcript,
@@ -59,6 +60,7 @@ __all__ = [
     "ProviderServer",
     "ProviderState",
     "QuantParams",
+    "RecordingTransport",
     "RemoError",
     "RingMatrix",
     "TcpTransport",

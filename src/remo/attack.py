@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadParams, EmptyClass, LengthMismatch, ProtocolError
 from .model import DecoderEngine, LocalWeightedOps, ModelWeights, block_rows
-from .protocol import MatMulRequest
+from .protocol import MatMulRequest, RecordingTransport, Transcript
 from .ring import RingMatrix, dequantize
 
 
@@ -39,20 +39,6 @@ def make_corpus(
     else:
         raise BadParams(f"unknown corpus kind {kind!r}; use 'uniform' or 'zipf'")
     return [[int(t) for t in draw()] for _ in range(n_prompts)]
-
-
-class _WireRecorder:
-    """Transport wrapper keeping the masked rows one op sends, as the provider receives them."""
-
-    def __init__(self, inner, op_id: str):
-        self.inner = inner
-        self.op_id = op_id
-        self.rows: list[tuple[int, RingMatrix]] = []
-
-    def request(self, msg):
-        if isinstance(msg, MatMulRequest) and msg.op_id == self.op_id:
-            self.rows.append((msg.step, msg.masked))
-        return self.inner.request(msg)
 
 
 @dataclass
@@ -90,8 +76,13 @@ def collect_views(
     local = LocalWeightedOps(weights.provider_view())
     raw, masked, labels, is_prompt, prompt_idx = [], [], [], [], []
     for pi, prompt in enumerate(prompts):
-        wire = _WireRecorder(transport, op_id)
-        response = enclave.run_session(wire, prompt, max_new)
+        transcript = Transcript()
+        response = enclave.run_session(RecordingTransport(transport, transcript), prompt, max_new)
+        sent = [
+            (e.message.step, e.message.masked)
+            for e in transcript.entries
+            if isinstance(e.message, MatMulRequest) and e.message.op_id == op_id
+        ]
         inputs: list[tuple[int, RingMatrix]] = []
 
         def recording(op: str, x: RingMatrix, step: int) -> RingMatrix:
@@ -101,15 +92,13 @@ def collect_views(
 
         engine = DecoderEngine(params, recording)
         reference = engine.generate(prompt, max_new)
-        if response != reference or [(s, m.rows) for s, m in wire.rows] != [
-            (s, x.rows) for s, x in inputs
-        ]:
+        if response != reference or [(s, m.rows) for s, m in sent] != [(s, x.rows) for s, x in inputs]:
             raise ProtocolError(
                 f"prompt {pi}: partitioned response {response} differs from reference {reference}"
             )
         fed = list(prompt) + response[:-1]
         ends = [s for s, _ in inputs[1:]] + [engine.pos]
-        for (step, raw_m), (_, masked_m), end in zip(inputs, wire.rows, ends):
+        for (step, raw_m), (_, masked_m), end in zip(inputs, sent, ends):
             positions = range(step, end)[block_rows(op_id, end - step)]
             raw.extend(dequantize(raw_m))
             masked.extend(dequantize(masked_m))
@@ -130,7 +119,6 @@ def collect_views(
 class AttackDataset:
     rows: np.ndarray
     labels: np.ndarray
-    split: str = ""
 
 
 def train_mask(views: CollectedViews, train_frac: float = 0.8, seed: int = 0) -> np.ndarray:
@@ -143,14 +131,13 @@ def train_mask(views: CollectedViews, train_frac: float = 0.8, seed: int = 0) ->
 
 
 def split_views(
-    views: CollectedViews, masked: bool, train_frac: float = 0.8, seed: int = 0
+    views: CollectedViews, in_train: np.ndarray, masked: bool
 ) -> tuple[AttackDataset, AttackDataset]:
-    """Disjoint train/attack datasets, split at the prompt level."""
+    """Disjoint train/attack datasets of the raw or masked rows; `in_train` is a `train_mask`."""
     rows = views.masked_rows if masked else views.raw_rows
-    in_train = train_mask(views, train_frac, seed)
     return (
-        AttackDataset(rows[in_train], views.labels[in_train], "train"),
-        AttackDataset(rows[~in_train], views.labels[~in_train], "attack"),
+        AttackDataset(rows[in_train], views.labels[in_train]),
+        AttackDataset(rows[~in_train], views.labels[~in_train]),
     )
 
 
@@ -264,7 +251,7 @@ def run_attack_eval(
     in_train = train_mask(views, train_frac, seed)
     is_prompt = views.is_prompt[~in_train]
     for masked in (False, True):
-        train, attack = split_views(views, masked=masked, train_frac=train_frac, seed=seed)
+        train, attack = split_views(views, in_train, masked)
         model = train_centroids(train)
         guesses = predict(model, attack.rows)
         for cls_name, sel in (("prompt", is_prompt), ("response", ~is_prompt)):

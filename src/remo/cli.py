@@ -29,14 +29,16 @@ from .model import ModelConfig, init_weights, reference_generate
 from .privacy import GameConfig
 from .protocol import (
     DEFAULT_PORT,
+    FROM_PROVIDER,
+    TO_PROVIDER,
     Enclave,
     InProcTransport,
     ProviderServer,
     ProviderState,
+    RecordingTransport,
     TcpTransport,
     Transcript,
     audit_transcript,
-    encode_message,
 )
 from .ring import QuantParams, ring_kernel
 
@@ -123,7 +125,7 @@ def load_config(path) -> RunConfig:
         f = by_name.get(key)
         if f is None:
             raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, f.type if isinstance(f.type, type) else type(f.default)))
+        setattr(cfg, key, _parse_value(key, raw, type(f.default)))
     return cfg
 
 
@@ -149,30 +151,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(out) + "\n")
 
 
-class _CountingTransport:
-    """Wraps a transport to count messages and wire bytes for reports."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests = 0
-        self.bytes_out = 0
-        self.bytes_in = 0
-
-    def request(self, msg):
-        self.requests += 1
-        self.bytes_out += len(encode_message(msg))
-        reply = self.inner.request(msg)
-        self.bytes_in += len(encode_message(reply))
-        return reply
-
-    def close(self):
-        self.inner.close()
-
-
-def _build_world(cfg: RunConfig, transcript: Transcript | None = None):
-    """Weights, in-proc provider (logging into `transcript`, if any) and enclave from one config."""
+def _build_world(cfg: RunConfig):
+    """Weights, in-proc provider and enclave from one config."""
     weights = init_weights(cfg.model_config(), cfg.seed_for("model"))
-    provider = ProviderState(weights.provider_view(), cfg.model_config().params, transcript=transcript)
+    provider = ProviderState(weights.provider_view(), cfg.model_config().params)
     enclave = Enclave(weights.enclave_view(), cfg.seed_for("session"), mask_ratio=cfg.mask_ratio)
     return weights, provider, enclave
 
@@ -189,39 +171,38 @@ def _open_transport(cfg: RunConfig, provider: ProviderState):
 
 
 def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
-    transcript = Transcript()
-    weights, provider, enclave = _build_world(cfg, transcript)
+    weights, provider, enclave = _build_world(cfg)
     prompt = atk.make_corpus(1, cfg.prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind)[0]
-    transport = _CountingTransport(_open_transport(cfg, provider))
+    transcript = Transcript()
+    transport = RecordingTransport(_open_transport(cfg, provider), transcript)
     try:
         response = enclave.run_session(transport, prompt, cfg.max_new)
     finally:
         transport.close()
     reference = reference_generate(weights, prompt, cfg.max_new)
     match = response == reference
-    audit = audit_transcript(transcript) if cfg.transport == "inproc" else None
+    audit = audit_transcript(transcript)
+    frames = transcript.frames()
+    requests = sum(d == TO_PROVIDER for d, _ in frames)
+    bytes_out = sum(len(f) for d, f in frames if d == TO_PROVIDER)
+    bytes_in = sum(len(f) for d, f in frames if d == FROM_PROVIDER)
     print(f"prompt tokens:   {prompt}")
     print(f"response tokens: {response}")
     print(f"reference match: {match}")
-    print(f"wire traffic:    {transport.requests} requests, "
-          f"{transport.bytes_out} B out, {transport.bytes_in} B in")
-    if audit is not None:
-        print(f"transcript audit: {'pass' if audit.passed else 'FAIL'}")
+    print(f"wire traffic:    {requests} requests, {bytes_out} B out, {bytes_in} B in")
+    print(f"transcript audit: {'pass' if audit.passed else 'FAIL'}")
     _write_json(out_dir / "report.json", {
         "prompt": prompt,
         "response": response,
         "reference": reference,
         "reference_match": match,
-        "requests": transport.requests,
-        "bytes_out": transport.bytes_out,
-        "bytes_in": transport.bytes_in,
-        "audit_passed": None if audit is None else audit.passed,
-        "audit": None if audit is None else {
-            name: {"ok": c.ok, "detail": c.detail} for name, c in audit.clauses.items()
-        },
+        "requests": requests,
+        "bytes_out": bytes_out,
+        "bytes_in": bytes_in,
+        "audit_passed": audit.passed,
+        "audit": {name: {"ok": c.ok, "detail": c.detail} for name, c in audit.clauses.items()},
     })
-    ok = match and (audit is None or audit.passed)
-    return 0 if ok else 1
+    return 0 if match and audit.passed else 1
 
 
 def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:

@@ -6,11 +6,13 @@ a stateless-by-plaintext request/reply machine: it holds weight
 matrices and per-op issue flags, never embeddings, tokens or KV data.
 
 Two interchangeable transports run the identical message flow: direct
-in-process calls and framed TCP (default port 7431).  A Transcript
-records every provider-visible message and can be audited for schema,
-masking uniformity and per-step freshness; the audit imports scipy.stats
-on its first call, as serving processes never audit.  The enclave checks
-every reply it acts on in one place, `_expect`.
+in-process calls and framed TCP (default port 7431).  The wire is
+observed at the transport, never inside the provider: a
+RecordingTransport wraps either one and appends every request it sends
+and every reply it gets to a Transcript, which can be audited for
+schema, masking uniformity and per-step freshness.  The audit imports
+scipy.stats on its first call, as serving processes never audit.  The
+enclave checks every reply it acts on in one place, `_expect`.
 """
 
 from __future__ import annotations
@@ -215,7 +217,33 @@ class Transcript:
         return [(e.direction, encode_message(e.message)) for e in self.entries]
 
 
+class RecordingTransport:
+    """Transport wrapper appending each request, then its reply, to `transcript`.
+
+    The request is logged before it is sent, so one whose reply never
+    comes is logged too.  Like the transports it wraps, it serves one
+    caller at a time.
+    """
+
+    def __init__(self, inner, transcript: Transcript):
+        self.inner = inner
+        self.transcript = transcript
+
+    def request(self, msg: Message) -> Message:
+        self.transcript.append(TO_PROVIDER, msg)
+        reply = self.inner.request(msg)
+        self.transcript.append(FROM_PROVIDER, reply)
+        return reply
+
+    def close(self) -> None:
+        self.inner.close()
+
+
 # --- provider -----------------------------------------------------------------
+
+
+def _error_reply(exc: errors.RemoError) -> ErrorReply:
+    return ErrorReply(errors.error_code(exc), str(exc))
 
 
 class ProviderState:
@@ -228,28 +256,17 @@ class ProviderState:
     are held column-major (`ring.column_major`), converted here if need be.
     """
 
-    def __init__(
-        self,
-        ops: dict[str, RingMatrix],
-        params: QuantParams,
-        transcript: Transcript | None = None,
-    ):
+    def __init__(self, ops: dict[str, RingMatrix], params: QuantParams):
         self.ops = {op_id: column_major(w) for op_id, w in ops.items()}
         self.params = params
-        self.transcript = transcript
         self.issued: set[str] = set()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards `issued`
 
     def handle(self, msg: Message) -> Message:
         try:
-            reply = self._dispatch(msg)
+            return self._dispatch(msg)
         except errors.RemoError as exc:
-            reply = ErrorReply(errors.error_code(exc), str(exc))
-        if self.transcript is not None:
-            with self._lock:  # keep each request next to its reply
-                self.transcript.append(TO_PROVIDER, msg)
-                self.transcript.append(FROM_PROVIDER, reply)
-        return reply
+            return _error_reply(exc)
 
     def _dispatch(self, msg: Message) -> Message:
         if isinstance(msg, SetupBase):
@@ -371,6 +388,8 @@ class ProviderServer:
         self.address = self._listener.getsockname()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        self._conns: set[socket.socket] = set()  # open connections, for shutdown
+        self._conns_lock = threading.Lock()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -382,28 +401,29 @@ class ProviderServer:
                 continue
             except OSError:
                 break
+            with self._conns_lock:
+                self._conns.add(conn)
             t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
             t.start()
             self._threads = [old for old in self._threads if old.is_alive()] + [t]
 
     def _serve_conn(self, conn: socket.socket) -> None:
         conn.settimeout(self.idle_timeout)
-        with conn:
+        try:
             while not self._stop.is_set():
                 try:
-                    frame = read_frame(conn)
+                    msg = decode_message(read_frame(conn))
                 except TransportClosed:
                     return
                 except (DecodeError, LengthMismatch) as exc:
-                    self._send(conn, ErrorReply(errors.error_code(exc), str(exc)))
-                    return
-                try:
-                    msg = decode_message(frame)
-                except (DecodeError, LengthMismatch) as exc:
-                    self._send(conn, ErrorReply(errors.error_code(exc), str(exc)))
+                    self._send(conn, _error_reply(exc))
                     return
                 if not self._send(conn, self.state.handle(msg)):
                     return
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            conn.close()
 
     @staticmethod
     def _send(conn: socket.socket, msg: Message) -> bool:
@@ -420,6 +440,12 @@ class ProviderServer:
         except OSError:
             pass
         self._accept_thread.join(timeout=2.0)
+        with self._conns_lock:  # wake each thread blocked in recv on an idle connection
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         for t in self._threads:
             t.join(timeout=2.0)
 

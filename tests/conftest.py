@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from remo import Enclave, InProcTransport, ModelConfig, ProviderState, Transcript, init_weights
+from remo import (
+    Enclave,
+    InProcTransport,
+    ModelConfig,
+    ProviderState,
+    RecordingTransport,
+    Transcript,
+    init_weights,
+)
 from remo.protocol import (
     CloseSession,
     ErrorReply,
@@ -69,10 +77,10 @@ def toy_weights():
 
 @pytest.fixture()
 def toy_world(toy_weights):
-    """Fresh provider/enclave pair over the shared toy weights."""
+    """Fresh provider/enclave pair over the shared toy weights; the
+    transport records every message into the returned transcript."""
     transcript = Transcript()
-    provider = ProviderState(
-        toy_weights.provider_view(), toy_weights.config.params, transcript=transcript
-    )
+    provider = ProviderState(toy_weights.provider_view(), toy_weights.config.params)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=99)
-    return toy_weights, provider, enclave, InProcTransport(provider), transcript
+    transport = RecordingTransport(InProcTransport(provider), transcript)
+    return toy_weights, provider, enclave, transport, transcript

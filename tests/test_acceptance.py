@@ -25,6 +25,7 @@ from remo.protocol import (
     MatMulRequest,
     ProviderServer,
     ProviderState,
+    RecordingTransport,
     TcpTransport,
     Transcript,
     audit_transcript,
@@ -210,14 +211,14 @@ def test_criterion_6_protocol_integrity(acfg, aweights, monkeypatch):
 
     prompt = [11, 22, 33, 44, 55, 6]
     tr_a = Transcript()
-    provider_a = ProviderState(aweights.provider_view(), P, transcript=tr_a)
+    provider_a = ProviderState(aweights.provider_view(), P)
     enclave_a = Enclave(aweights.enclave_view(), acfg.seed_for("session"))
-    out_a = enclave_a.run_session(InProcTransport(provider_a), prompt, 8)
+    out_a = enclave_a.run_session(RecordingTransport(InProcTransport(provider_a), tr_a), prompt, 8)
 
     tr_b = Transcript()
-    server = ProviderServer(ProviderState(aweights.provider_view(), P, transcript=tr_b), port=0)
+    server = ProviderServer(ProviderState(aweights.provider_view(), P), port=0)
     try:
-        transport = TcpTransport(*server.address)
+        transport = RecordingTransport(TcpTransport(*server.address), tr_b)
         enclave_b = Enclave(aweights.enclave_view(), acfg.seed_for("session"))
         out_b = enclave_b.run_session(transport, prompt, 8)
         transport.close()
@@ -229,10 +230,10 @@ def test_criterion_6_protocol_integrity(acfg, aweights, monkeypatch):
 
     monkeypatch.setattr(remo.protocol, "derive_step_mask", zero_step_mask)
     tr_neg = Transcript()
-    provider_neg = ProviderState(aweights.provider_view(), P, transcript=tr_neg)
+    provider_neg = ProviderState(aweights.provider_view(), P)
     enclave_neg = Enclave(aweights.enclave_view(), acfg.seed_for("session"))
     for p in atk.make_corpus(16, 6, acfg.vocab, 123):
-        enclave_neg.run_session(InProcTransport(provider_neg), p, 4)
+        enclave_neg.run_session(RecordingTransport(InProcTransport(provider_neg), tr_neg), p, 4)
     no_mask_fails = not audit_transcript(tr_neg).clauses["uniformity"].ok
 
     src = next(e.message for e in tr_a.entries if isinstance(e.message, MatMulRequest))

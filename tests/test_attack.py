@@ -15,10 +15,18 @@ from remo.attack import (
     split_views,
     tra,
     train_centroids,
+    train_mask,
 )
 from remo.errors import BadParams, EmptyClass, LengthMismatch, ProtocolError, UnknownOp
 from remo.model import ModelConfig, init_weights, reference_generate, rms_norm
-from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState
+from remo.protocol import (
+    Enclave,
+    InProcTransport,
+    MatMulRequest,
+    ProviderState,
+    RecordingTransport,
+    Transcript,
+)
 from remo.ring import QuantParams, dequantize, quantize
 
 P = QuantParams()
@@ -91,13 +99,13 @@ def test_collect_views_labels_each_row_with_its_position(toy_weights):
 
 
 def test_collect_views_masked_rows_match_wire(toy_weights):
-    from remo.protocol import Transcript
-
+    # an outer recorder, between collect_views and the provider, sees what the provider receives
     transcript = Transcript()
-    provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
+    provider = ProviderState(toy_weights.provider_view(), P)
+    wire = RecordingTransport(InProcTransport(provider), transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     prompts = make_corpus(2, 5, 64, seed=10)
-    views = collect_views(toy_weights, enclave, InProcTransport(provider), prompts, "l0.wqkv", max_new=2)
+    views = collect_views(toy_weights, enclave, wire, prompts, "l0.wqkv", max_new=2)
     wire_rows = [
         row
         for e in transcript.entries
@@ -111,13 +119,12 @@ def test_collect_views_masked_rows_match_wire(toy_weights):
 
 @pytest.mark.parametrize("op_id", ["l0.wq", "l9.wqkv", "nope"])
 def test_collect_views_unknown_op_fails_before_any_session(toy_weights, op_id):
-    from remo.protocol import Transcript
-
     transcript = Transcript()
-    provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
+    provider = ProviderState(toy_weights.provider_view(), P)
+    wire = RecordingTransport(InProcTransport(provider), transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=5)
     with pytest.raises(UnknownOp, match=op_id):
-        collect_views(toy_weights, enclave, InProcTransport(provider), [[1, 2, 3]], op_id, max_new=2)
+        collect_views(toy_weights, enclave, wire, [[1, 2, 3]], op_id, max_new=2)
     assert not any(isinstance(e.message, MatMulRequest) for e in transcript.entries)
 
 
@@ -240,13 +247,13 @@ def small_views(toy_weights):
 
 
 def test_splits_disjoint_and_sized(small_views):
-    train, attack = split_views(small_views, masked=False, seed=0)
+    train, attack = split_views(small_views, train_mask(small_views, seed=0), masked=False)
     assert len(train.rows) + len(attack.rows) == len(small_views)
     assert len(attack.rows) > 0 and len(train.rows) > 3 * len(attack.rows)
 
 
 def test_unmasked_training_self_accuracy(small_views):
-    train, _ = split_views(small_views, masked=False, seed=0)
+    train, _ = split_views(small_views, train_mask(small_views, seed=0), masked=False)
     model = train_centroids(train)
     self_acc = tra(train.labels, predict(model, train.rows))
     assert self_acc >= 0.9  # the clustering premise holds on raw rows

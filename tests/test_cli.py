@@ -8,7 +8,7 @@ import pytest
 import remo.cli as cli
 from remo.cli import RunConfig, load_config, main, serialize_config
 from remo.errors import ParseError
-from remo.protocol import MatMulReply, ProviderState
+from remo.protocol import MatMulReply, ProviderServer, ProviderState
 from remo.ring import RingMatrix
 
 
@@ -88,6 +88,22 @@ def test_demo_exit_zero_and_report(tmp_path, capsys):
     assert all(clause["ok"] is True and clause["detail"] for clause in audit.values())
     assert (tmp_path / "out" / "meta.json").exists()
     assert "response tokens" in capsys.readouterr().out
+
+
+def test_demo_over_tcp_reports_what_the_inproc_demo_does(tmp_path):
+    # the transcript is kept at the transport, so a TCP run is counted and audited too
+    cfg = RunConfig()
+    weights = cli.init_weights(cfg.model_config(), cfg.seed_for("model"))
+    server = ProviderServer(ProviderState(weights.provider_view(), cfg.model_config().params), port=0)
+    try:
+        host, port = server.address
+        tcp = main(["demo", "--out-dir", str(tmp_path / "tcp"), "--transport", f"tcp:{host}:{port}"])
+    finally:
+        server.shutdown()
+    assert main(["demo", "--out-dir", str(tmp_path / "inproc")]) == tcp == 0
+    report = (tmp_path / "tcp" / "report.json").read_bytes()
+    assert json.loads(report)["audit_passed"] is True
+    assert report == (tmp_path / "inproc" / "report.json").read_bytes()
 
 
 def test_demo_unreachable_tcp(tmp_path, capsys):

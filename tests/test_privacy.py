@@ -20,7 +20,15 @@ from remo.privacy import (
     tv_box_closed_form,
     tv_exact_small,
 )
-from remo.protocol import Enclave, InProcTransport, MatMulRequest, ProviderState, SetupBase, Transcript
+from remo.protocol import (
+    Enclave,
+    InProcTransport,
+    MatMulRequest,
+    ProviderState,
+    RecordingTransport,
+    SetupBase,
+    Transcript,
+)
 from remo.ring import QuantParams, RingMatrix, quantize, ring_kernel, ring_matmul, ring_solve
 
 P = QuantParams()
@@ -205,13 +213,14 @@ def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
     """masked @ N == raw @ N for the ring kernel N of every issued base, and at
     layer 0 one projection already identifies the fed token."""
     transcript = Transcript()
-    provider = ProviderState(toy_weights.provider_view(), P, transcript=transcript)
+    provider = ProviderState(toy_weights.provider_view(), P)
+    transport = RecordingTransport(InProcTransport(provider), transcript)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=3, mask_ratio=0.5)
     local = LocalWeightedOps(toy_weights.provider_view())
     requests, raw, fed = [], {}, {}
     for pi, prompt in enumerate(make_corpus(10, 8, 64, seed=13)):
         start = len(transcript.entries)
-        response = enclave.run_session(InProcTransport(provider), prompt, 4)
+        response = enclave.run_session(transport, prompt, 4)
         requests += [
             (pi, e.message) for e in transcript.entries[start:] if isinstance(e.message, MatMulRequest)
         ]

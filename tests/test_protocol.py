@@ -27,6 +27,7 @@ from remo.protocol import (
     PoolReply,
     ProviderServer,
     ProviderState,
+    RecordingTransport,
     SetupBase,
     TcpTransport,
     Transcript,
@@ -297,14 +298,14 @@ def test_fixed_right_operands_are_held_once_column_major():
         assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous, op_id
     assert weights.embedding.data.flags.c_contiguous
     view = weights.provider_view()
-    transcript = Transcript()
-    provider = ProviderState(view, WIDE_CFG.params, transcript=transcript)
+    provider = ProviderState(view, WIDE_CFG.params)
     for op_id, w in view.items():
         assert provider.ops[op_id].data.flags.f_contiguous, op_id
         assert np.shares_memory(provider.ops[op_id].data, w.data), op_id
 
+    transcript = Transcript()
     enclave = Enclave(weights.enclave_view(), master_seed=7)
-    enclave.setup(InProcTransport(provider))
+    enclave.setup(RecordingTransport(InProcTransport(provider), transcript))
     sent = {e.message.op_id: e.message.base for e in transcript.entries if isinstance(e.message, SetupBase)}
     pools = {e.message.op_id: e.message.pool for e in transcript.entries if isinstance(e.message, PoolReply)}
     assert set(sent) == set(pools) == set(enclave.bases) == set(WIDE_CFG.op_ids())
@@ -369,22 +370,22 @@ def test_wrong_shape_reply_aborts_session(toy_weights):
 def test_tcp_matches_inproc_bitwise(toy_weights):
     prompt = [8, 6, 7, 5, 3, 0, 9]
     tr_inproc = Transcript()
-    provider = ProviderState(toy_weights.provider_view(), P, transcript=tr_inproc)
+    provider = ProviderState(toy_weights.provider_view(), P)
     enclave = Enclave(toy_weights.enclave_view(), master_seed=7)
-    out_inproc = enclave.run_session(InProcTransport(provider), prompt, 6)
+    out_inproc = enclave.run_session(RecordingTransport(InProcTransport(provider), tr_inproc), prompt, 6)
 
     tr_tcp = Transcript()
-    state = ProviderState(toy_weights.provider_view(), P, transcript=tr_tcp)
+    state = ProviderState(toy_weights.provider_view(), P)
     server = ProviderServer(state, port=0)
     try:
-        transport = TcpTransport(*server.address)
+        transport = RecordingTransport(TcpTransport(*server.address), tr_tcp)
         enclave2 = Enclave(toy_weights.enclave_view(), master_seed=7)
         out_tcp = enclave2.run_session(transport, prompt, 6)
         transport.close()
     finally:
         server.shutdown()
     assert out_tcp == out_inproc
-    # transcripts agree bitwise
+    # transcripts agree bitwise: requests as sent, replies as decoded
     assert tr_tcp.frames() == tr_inproc.frames()
 
 
@@ -520,6 +521,25 @@ def test_server_prunes_finished_connection_threads(toy_weights):
         assert len(server._threads) <= 5
     finally:
         server.shutdown()
+
+
+def test_shutdown_does_not_wait_out_idle_connections(toy_weights):
+    server = ProviderServer(ProviderState(toy_weights.provider_view(), P), port=0)
+    clients = [TcpTransport(*server.address) for _ in range(3)]
+    try:
+        deadline = time.monotonic() + 5.0
+        while sum(t.is_alive() for t in server._threads) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        threads = list(server._threads)
+        assert sum(t.is_alive() for t in threads) == 3
+        started = time.monotonic()
+        server.shutdown()
+        took = time.monotonic() - started
+    finally:
+        for c in clients:
+            c.close()
+    assert took < 1.0, took
+    assert not any(t.is_alive() for t in threads)
 
 
 def _toy_frames() -> list[bytes]:
@@ -658,7 +678,7 @@ def test_role_separation_is_structural(toy_world):
     # provider state carries weights and bookkeeping only; the enclave side
     # never holds anything equal to a weight matrix
     weights, provider, enclave, transport, _ = toy_world
-    assert set(vars(provider)) == {"ops", "params", "transcript", "issued", "_lock"}
+    assert set(vars(provider)) == {"ops", "params", "issued", "_lock"}
     enclave.run_session(transport, [1, 2, 3], 2)
     all_w = list(weights.provider_view().values())
     for base in enclave.bases.values():
