@@ -14,7 +14,6 @@ sentence-encoder score).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,9 @@ from .errors import BadParams, EmptyClass, LengthMismatch, ProtocolError
 from .model import DecoderEngine, LocalWeightedOps, ModelWeights, block_rows
 from .protocol import MatMulRequest, RecordingTransport, Transcript
 from .ring import RingMatrix, dequantize
+
+TRAIN_FRAC = 0.8  # share of prompts the attacker trains on
+CI_Z = 2.576  # two-sided 99% normal quantile
 
 
 def make_corpus(
@@ -121,11 +123,11 @@ class AttackDataset:
     labels: np.ndarray
 
 
-def train_mask(views: CollectedViews, train_frac: float = 0.8, seed: int = 0) -> np.ndarray:
+def train_mask(views: CollectedViews, seed: int = 0) -> np.ndarray:
     """Boolean per-position mask selecting the training share, split at the prompt level."""
     n_prompts = int(views.prompt_index.max()) + 1 if len(views) else 0
     order = np.random.default_rng(seed).permutation(n_prompts)
-    cut = int(round(train_frac * n_prompts))
+    cut = int(round(TRAIN_FRAC * n_prompts))
     train_set = set(order[:cut].tolist())
     return np.array([pi in train_set for pi in views.prompt_index])
 
@@ -214,23 +216,11 @@ class AttackReport:
     rows: list[AttackReportRow] = field(default_factory=list)
     pooled: dict = field(default_factory=dict)  # masked flag -> (tra, positions)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["tap", "masked", "positions", "tra", "cosine_proxy", "chance_level", "ci_low", "ci_high"]
-            )
-            for r in self.rows:
-                w.writerow(
-                    [r.tap, str(r.masked).lower(), r.positions, repr(r.tra), repr(r.cosine_proxy),
-                     repr(r.chance_level), repr(r.ci_low), repr(r.ci_high)]
-                )
 
-
-def chance_ci(chance: float, n: int, z: float = 2.576) -> tuple[float, float]:
+def chance_ci(chance: float, n: int) -> tuple[float, float]:
     if n == 0:
         return 0.0, 1.0
-    half = z * np.sqrt(chance * (1.0 - chance) / n)
+    half = CI_Z * np.sqrt(chance * (1.0 - chance) / n)
     return float(chance - half), float(chance + half)
 
 
@@ -238,7 +228,6 @@ def run_attack_eval(
     views: CollectedViews,
     embedding: RingMatrix,
     vocab: int,
-    train_frac: float = 0.8,
     seed: int = 0,
 ) -> AttackReport:
     """Centroid attack on raw and masked views, scored per position class.
@@ -248,7 +237,7 @@ def run_attack_eval(
     """
     chance = 1.0 / vocab
     report = AttackReport(op_id=views.op_id, vocab=vocab)
-    in_train = train_mask(views, train_frac, seed)
+    in_train = train_mask(views, seed)
     is_prompt = views.is_prompt[~in_train]
     for masked in (False, True):
         train, attack = split_views(views, in_train, masked)

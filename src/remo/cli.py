@@ -129,17 +129,6 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; load(serialize(c)) == c."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -149,6 +138,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         out.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(out) + "\n")
+
+
+def _write_attack_csv(path: Path, report: atk.AttackReport) -> None:
+    _write_csv(
+        path,
+        ["tap", "masked", "positions", "tra", "cosine_proxy", "chance_level", "ci_low", "ci_high"],
+        [[r.tap, str(r.masked).lower(), r.positions, r.tra, r.cosine_proxy, r.chance_level,
+          r.ci_low, r.ci_high] for r in report.rows],
+    )
 
 
 def _build_world(cfg: RunConfig):
@@ -255,7 +253,7 @@ def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
     finally:
         transport.close()
     report = atk.run_attack_eval(views, weights.embedding, cfg.vocab, seed=cfg.seed_for("corpus"))
-    report.to_csv(out_dir / "report.csv")
+    _write_attack_csv(out_dir / "report.csv", report)
     chance = 1.0 / cfg.vocab
     clauses = {}
     for r in report.rows:
@@ -304,8 +302,11 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
     print(f"2-dim TV: closed-form={closed:.4f} grid={grid:.4f} l1-bound dominates: {tv_ok}")
 
     weights, provider, enclave = _build_world(cfg)
-    transport = InProcTransport(provider)
-    enclave.setup(transport)
+    transport = _open_transport(cfg, provider)
+    try:
+        enclave.setup(transport)
+    finally:
+        transport.close()
     kernel_rows = []
     kernel_pass = True
     for op_id in cfg.model_config().op_ids():

@@ -35,32 +35,31 @@ def _label_bytes(label) -> bytes:
 
 @dataclass(frozen=True)
 class PrgKey:
-    """256-bit seed plus the domain prefix all draws are bound to."""
+    """256-bit seed; each draw is bound to the labels it names."""
 
     seed: bytes
-    domain: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.seed) != SEED_BYTES:
             raise BadParams(f"seed must be {SEED_BYTES} bytes, got {len(self.seed)}")
 
     @classmethod
-    def from_int(cls, seed: int, *domain) -> "PrgKey":
+    def from_int(cls, seed: int) -> "PrgKey":
         raw = hashlib.sha256(b"remo-seed" + seed.to_bytes(16, "little", signed=True)).digest()
-        return cls(raw, tuple(domain))
+        return cls(raw)
 
     def child(self, *labels) -> "PrgKey":
         """Derive an independent key for a sub-domain."""
         h = hashlib.shake_256()
         h.update(b"remo-child" + self.seed)
-        for part in self.domain + tuple(labels):
+        for part in labels:
             h.update(_label_bytes(part))
-        return PrgKey(h.digest(SEED_BYTES), ())
+        return PrgKey(h.digest(SEED_BYTES))
 
     def bytes_for(self, nbytes: int, *labels) -> bytes:
         h = hashlib.shake_256()
         h.update(b"remo-stream" + self.seed)
-        for part in self.domain + tuple(labels):
+        for part in labels:
             h.update(_label_bytes(part))
         return h.digest(nbytes)
 

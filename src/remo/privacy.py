@@ -42,6 +42,9 @@ from .ring import (
     ring_sub,
 )
 
+GAME_CHUNK = 200_000  # trials drawn per batch of the distinguishing game
+STACKING_TOL = 1e-6  # dequantized weight error below which stacking counts as recovery
+
 
 # --- theorem bound and exact TV ------------------------------------------------
 
@@ -125,7 +128,7 @@ class BoundReport:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
 
-def run_distinguishing_game(cfg: GameConfig, chunk: int = 200_000) -> BoundReport:
+def run_distinguishing_game(cfg: GameConfig) -> BoundReport:
     """Monte-Carlo success rate of the Bayes-optimal box adversary.
 
     Each trial: flip a fair bit b, mask e_b with iid Unif[-lam/2, lam/2]
@@ -140,7 +143,7 @@ def run_distinguishing_game(cfg: GameConfig, chunk: int = 200_000) -> BoundRepor
     wins = 0
     left = cfg.trials
     while left > 0:
-        t = min(chunk, left)
+        t = min(GAME_CHUNK, left)
         b = rng.integers(0, 2, size=t)
         masks = rng.uniform(-half, half, size=(t, n))
         ehat = np.where(b[:, None] == 0, cfg.e1[None, :], cfg.e2[None, :]) + masks
@@ -220,7 +223,7 @@ class StackingReport:
 
 
 def stacking_attack_demo(
-    sketches: list[tuple[RingMatrix, RingMatrix]], true_w: RingMatrix, tol: float = 1e-6
+    sketches: list[tuple[RingMatrix, RingMatrix]], true_w: RingMatrix
 ) -> StackingReport:
     """Stack (base, pool) pairs for one weight matrix and try to solve for it.
 
@@ -240,4 +243,4 @@ def stacking_attack_demo(
         return StackingReport(False, len(sketches), base.rows, None)
     diff = solved[0].signed().astype(np.float64) - true_w.signed().astype(np.float64)
     err = float(np.max(np.abs(diff))) / params.scale
-    return StackingReport(err <= tol, len(sketches), base.rows, err)
+    return StackingReport(err <= STACKING_TOL, len(sketches), base.rows, err)

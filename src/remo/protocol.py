@@ -10,9 +10,8 @@ in-process calls and framed TCP (default port 7431).  The wire is
 observed at the transport, never inside the provider: a
 RecordingTransport wraps either one and appends every request it sends
 and every reply it gets to a Transcript, which can be audited for
-schema, masking uniformity and per-step freshness.  The audit imports
-scipy.stats on its first call, as serving processes never audit.  The
-enclave checks every reply it acts on in one place, `_expect`.
+schema, masking uniformity and per-step freshness.  The enclave checks
+every reply it acts on in one place, `_expect`.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import errors
 from .errors import (
+    BadDims,
     BadParams,
     BindFailure,
     DecodeError,
@@ -290,6 +290,8 @@ class ProviderState:
 
     def _setup(self, msg: SetupBase) -> PoolReply:
         w = self._weights_for(msg.op_id, msg.base, "base")
+        if msg.base.rows >= msg.base.cols:  # a pool of d independent rows would solve for W
+            raise BadDims(f"base for {msg.op_id!r} has {msg.base.rows} rows, must be < {msg.base.cols}")
         with self._lock:
             if msg.op_id in self.issued:
                 raise SketchReissue(f"base for {msg.op_id!r} already issued")
@@ -493,24 +495,26 @@ class Enclave:
         """Phase 1: release one public base per weighted op, keep it with its pool.
 
         Idempotent per enclave: an op already in `bases` is skipped, and
-        the provider refuses a second base for an op.  A pool whose shape
-        or params do not fit its base raises ShapeMismatch and leaves the
-        op out of `bases`.
+        the provider refuses a second base for an op.  The loop holds the
+        enclave's lock, so concurrent first sessions release each base
+        once.  A pool whose shape or params do not fit its base raises
+        ShapeMismatch and leaves the op out of `bases`.
         """
-        for op_id in self.cfg.op_ids():
-            if op_id in self.bases:
-                continue
-            d_in, d_out = self.cfg.op_dims(op_id)
-            public_base = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
-            reply = transport.request(SetupBase(op_id, public_base))
-            pool = _expect(reply, PoolReply, op_id=op_id).pool
-            want = (public_base.rows, d_out)
-            if pool.shape != want or pool.params != public_base.params:
-                raise ShapeMismatch(
-                    f"pool for {op_id!r} is {pool!r}, expected {want[0]}x{want[1]} "
-                    f"with the base's {public_base.params}"
-                )
-            self.bases[op_id] = MaskBase(column_major(public_base), column_major(pool))
+        with self._lock:
+            for op_id in self.cfg.op_ids():
+                if op_id in self.bases:
+                    continue
+                d_in, d_out = self.cfg.op_dims(op_id)
+                public_base = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
+                reply = transport.request(SetupBase(op_id, public_base))
+                pool = _expect(reply, PoolReply, op_id=op_id).pool
+                want = (public_base.rows, d_out)
+                if pool.shape != want or pool.params != public_base.params:
+                    raise ShapeMismatch(
+                        f"pool for {op_id!r} is {pool!r}, expected {want[0]}x{want[1]} "
+                        f"with the base's {public_base.params}"
+                    )
+                self.bases[op_id] = MaskBase(column_major(public_base), column_major(pool))
 
     def run_session(self, transport, prompt, max_new: int) -> list[int]:
         """Setup if needed, then prefill and decode one prompt.
@@ -566,6 +570,7 @@ class _MaskedWeightedOps:
 _TO_PROVIDER_TYPES = (OpenSession, SetupBase, MatMulRequest, CloseSession)
 _FROM_PROVIDER_TYPES = (OpenSession, CloseSession, PoolReply, MatMulReply, ErrorReply)
 _UNIFORMITY_MIN_SAMPLES = 2560  # 10 expected counts per 8-bit bin
+UNIFORMITY_CRITICAL = 310.45738821990585  # chi2.ppf(0.99, 255): 256 bins at alpha = 0.01
 
 
 @dataclass
@@ -590,10 +595,8 @@ def _chi_square(values: np.ndarray, bins: int) -> float:
     return float(np.sum((counts - expected) ** 2) / expected)
 
 
-def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport:
-    """Check a provider-view log: schema, directions, mask uniformity, freshness,
-    importing `scipy.stats` on the first call, which no serving process makes."""
-    from scipy.stats import chi2  # not at module level: ~1 s and ~65 MB per process
+def audit_transcript(transcript: Transcript) -> AuditReport:
+    """Check a provider-view log: schema, directions, mask uniformity, freshness."""
     clauses: dict[str, ClauseResult] = {}
 
     unknown = [
@@ -633,11 +636,10 @@ def audit_transcript(transcript: Transcript, alpha: float = 0.01) -> AuditReport
         data = np.concatenate([m.masked.data.ravel() for m in requests])
         low, top = data & np.uint64(0xFF), data >> np.uint64(56)
         stat_low, stat_top = (_chi_square(v, 256) for v in (low, top))
-        crit = float(chi2.ppf(1.0 - alpha, 255))
         clauses["uniformity"] = ClauseResult(
-            max(stat_low, stat_top) <= crit,
+            max(stat_low, stat_top) <= UNIFORMITY_CRITICAL,
             f"chi-square low byte {stat_low:.1f}, top byte {stat_top:.1f} "
-            f"vs critical {crit:.1f} at alpha={alpha}",
+            f"vs critical {UNIFORMITY_CRITICAL:.1f} at alpha=0.01",
         )
 
     seen: dict[bytes, int] = {}

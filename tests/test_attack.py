@@ -17,6 +17,7 @@ from remo.attack import (
     train_centroids,
     train_mask,
 )
+from remo.cli import _write_attack_csv
 from remo.errors import BadParams, EmptyClass, LengthMismatch, ProtocolError, UnknownOp
 from remo.model import ModelConfig, init_weights, reference_generate, rms_norm
 from remo.protocol import (
@@ -278,7 +279,9 @@ def test_attack_eval_contrast(small_views, toy_weights):
 def test_attack_report_csv(tmp_path, small_views, toy_weights):
     report = run_attack_eval(small_views, toy_weights.embedding, 64, seed=0)
     path = tmp_path / "attack.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    _write_attack_csv(path, report)
+    data = path.read_bytes()
+    assert b"\r" not in data  # LF line endings, like every other report.csv
+    lines = data.decode().strip().splitlines()
     assert lines[0] == "tap,masked,positions,tra,cosine_proxy,chance_level,ci_low,ci_high"
     assert len(lines) == 5

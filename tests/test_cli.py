@@ -1,12 +1,13 @@
 """Config parsing, command orchestration, exit-code discipline."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import remo.cli as cli
-from remo.cli import RunConfig, load_config, main, serialize_config
+from remo.cli import RunConfig, load_config, main
 from remo.errors import ParseError
 from remo.protocol import MatMulReply, ProviderServer, ProviderState
 from remo.ring import RingMatrix
@@ -55,13 +56,10 @@ def test_tuple_fields_parse(tmp_path):
     assert cfg.lambda_ratios == (0.0, 0.25, 1.0)
 
 
-def test_serialize_load_round_trip(tmp_path):
+def test_messy_config_loads_to_its_values(tmp_path):
     messy = "max_new=3\nseed =  5\n# note\nmask_ratio = 0.25\n"
     cfg = load_config(write(tmp_path, messy))
-    canonical = serialize_config(cfg)
-    cfg2 = load_config(write(tmp_path, canonical))
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == canonical  # normalization is idempotent
+    assert cfg == dataclasses.replace(RunConfig(), max_new=3, seed=5, mask_ratio=0.25)
 
 
 # --- demo ----------------------------------------------------------------------
@@ -228,13 +226,15 @@ def test_attack_small_run(tmp_path):
 
 # --- privacy ----------------------------------------------------------------------------
 
+SMALL_PRIVACY = "\n".join([
+    "vocab = 8", "d = 8", "layers = 1", "heads = 2", "d_ff = 8", "max_seq = 32",
+    "game_trials = 20000", "consistent_count = 4",
+    "attack_op = l0.wqkv",
+])
+
 
 def test_privacy_small_model(tmp_path):
-    cfg_path = write(tmp_path, "\n".join([
-        "vocab = 8", "d = 8", "layers = 1", "heads = 2", "d_ff = 8", "max_seq = 32",
-        "game_trials = 20000", "consistent_count = 4",
-        "attack_op = l0.wqkv",
-    ]))
+    cfg_path = write(tmp_path, SMALL_PRIVACY)
     code = main(["privacy", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -245,6 +245,32 @@ def test_privacy_small_model(tmp_path):
     grid = (tmp_path / "out" / "report.csv").read_text().strip().splitlines()
     assert grid[0] == "norm_ratio,bound,empirical,stderr,pass"
     assert len(grid) == 6
+
+
+def test_privacy_unreachable_tcp(tmp_path, capsys):
+    # the kernel, consistent-weight and stacking rows describe the provider named
+    cfg_path = write(tmp_path, SMALL_PRIVACY)
+    args = ["privacy", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    assert main([*args, "--transport", "tcp:127.0.0.1:1"]) == 2
+    assert "TransportClosed" in capsys.readouterr().err
+
+
+def test_privacy_over_tcp_reports_what_the_inproc_run_does(tmp_path):
+    cfg_path = write(tmp_path, SMALL_PRIVACY)
+    cfg = load_config(cfg_path)
+    weights = cli.init_weights(cfg.model_config(), cfg.seed_for("model"))
+    server = ProviderServer(ProviderState(weights.provider_view(), cfg.model_config().params), port=0)
+    try:
+        host, port = server.address
+        tcp = main(["privacy", "--config", str(cfg_path), "--out-dir", str(tmp_path / "tcp"),
+                    "--transport", f"tcp:{host}:{port}"])
+        assert server.state.issued == set(cfg.model_config().op_ids())
+    finally:
+        server.shutdown()
+    inproc = main(["privacy", "--config", str(cfg_path), "--out-dir", str(tmp_path / "inproc")])
+    assert tcp == inproc == 0
+    report = (tmp_path / "tcp" / "report.json").read_bytes()
+    assert report == (tmp_path / "inproc" / "report.json").read_bytes()
 
 
 def test_privacy_negative_control_square_base(tmp_path):

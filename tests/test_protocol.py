@@ -16,6 +16,7 @@ import remo.protocol
 from remo.errors import LengthMismatch as LengthMismatchError
 from remo.errors import ProtocolError, ShapeMismatch, SketchReissue, TransportClosed
 from remo.model import ModelConfig, init_weights, reference_generate
+from remo.prg import PrgKey
 from remo.protocol import (
     CloseSession,
     Enclave,
@@ -134,6 +135,56 @@ def test_setup_reissue_refused(toy_world):
     provider.handle(SetupBase("l0.wqkv", base))
     second = provider.handle(SetupBase("l0.wqkv", base))
     assert isinstance(second, ErrorReply) and second.code == "SketchReissue"
+
+
+def test_square_and_tall_bases_refused(toy_world):
+    # a pool of d independent rows would let the enclave solve for the weights
+    _, provider, enclave, transport, _ = toy_world
+    key = PrgKey.from_int(5)
+    for rows in (32, 40):
+        reply = provider.handle(SetupBase("l0.wqkv", key.ring_matrix(rows, 32, P, "base", rows)))
+        assert isinstance(reply, ErrorReply) and reply.code == "BadDims"
+    assert provider.issued == set()
+    enclave.setup(transport)
+    assert provider.issued == set(enclave.cfg.op_ids())
+
+
+class _SlowSetup:
+    """Transport wrapper that holds each SetupBase back for 20 ms."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def request(self, msg):
+        if isinstance(msg, SetupBase):
+            time.sleep(0.02)
+        return self.inner.request(msg)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def test_concurrent_first_sessions_release_each_base_once(toy_weights):
+    provider = ProviderState(toy_weights.provider_view(), P)
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=7)
+    prompts = ([1, 2, 3, 4], [5, 6, 7, 8])
+    start = threading.Barrier(2)
+    responses, failures = {}, []
+
+    def client(i: int) -> None:
+        start.wait()
+        try:
+            responses[i] = enclave.run_session(_SlowSetup(InProcTransport(provider)), prompts[i], 4)
+        except errors.RemoError as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not failures
+    assert responses == {i: reference_generate(toy_weights, p, 4) for i, p in enumerate(prompts)}
 
 
 def test_restarted_provider_reissues_the_sketch(toy_weights):
@@ -625,6 +676,9 @@ def test_honest_transcript_passes_audit(toy_world):
 
 def test_uniformity_critical_value_is_chi2_ppf(toy_world):
     # the clause compares each byte with chi2.ppf(1 - alpha, 255), shown to 0.1
+    from scipy.stats import chi2
+
+    assert remo.protocol.UNIFORMITY_CRITICAL == chi2.ppf(0.99, 255)
     _, _, enclave, transport, transcript = toy_world
     for prompt in ([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]):
         enclave.run_session(transport, prompt, 8)
