@@ -212,7 +212,6 @@ class AttackReportRow:
 @dataclass
 class AttackReport:
     op_id: str
-    vocab: int
     rows: list[AttackReportRow] = field(default_factory=list)
     pooled: dict = field(default_factory=dict)  # masked flag -> (tra, positions)
 
@@ -236,7 +235,7 @@ def run_attack_eval(
     the classifier only knows classes it has seen.
     """
     chance = 1.0 / vocab
-    report = AttackReport(op_id=views.op_id, vocab=vocab)
+    report = AttackReport(op_id=views.op_id)
     in_train = train_mask(views, seed)
     is_prompt = views.is_prompt[~in_train]
     for masked in (False, True):

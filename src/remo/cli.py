@@ -24,7 +24,7 @@ import numpy as np
 
 from . import attack as atk
 from . import privacy as pv
-from .errors import EmptyRun, ParseError, RemoError
+from .errors import BadParams, EmptyRun, ParseError, RemoError
 from .model import ModelConfig, init_weights, reference_generate
 from .privacy import GameConfig
 from .protocol import (
@@ -46,15 +46,15 @@ from .ring import QuantParams, ring_kernel
 @dataclass
 class RunConfig:
     # model shape
-    vocab: int = 64
-    d: int = 32
-    layers: int = 2
-    heads: int = 4
-    d_ff: int = 64
-    max_seq: int = 128
-    eos_id: int = 0
+    vocab: int = ModelConfig.vocab
+    d: int = ModelConfig.d
+    layers: int = ModelConfig.layers
+    heads: int = ModelConfig.heads
+    d_ff: int = ModelConfig.d_ff
+    max_seq: int = ModelConfig.max_seq
+    eos_id: int = ModelConfig.eos_id
     # fixed-point fraction bits over Z_2^64
-    f: int = 16
+    f: int = QuantParams.f
     # masking
     mask_ratio: float = 0.5
     # master seed; model, session, corpus and trial seeds derive from it
@@ -206,6 +206,8 @@ def cmd_demo(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.prompts < 1:
         raise EmptyRun("invariance needs at least one prompt")
+    if cfg.max_new < 1:
+        raise EmptyRun("invariance needs at least one new token per prompt")
     weights, provider, enclave = _build_world(cfg)
     prompts = atk.make_corpus(cfg.prompts, cfg.prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind)
     transport = _open_transport(cfg, provider)
@@ -282,7 +284,13 @@ def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
-    cfg.model_config().op_dims(cfg.attack_op)  # UnknownOp before the game runs
+    # bad input is refused before any work runs
+    cfg.model_config().op_dims(cfg.attack_op)  # UnknownOp
+    for name in ("stacking_attempts", "consistent_count"):
+        if getattr(cfg, name) < 1:
+            raise BadParams(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not cfg.lambda_ratios:
+        raise EmptyRun("privacy needs at least one lambda ratio")
     trial_seed = cfg.seed_for("trial")
     game_rows = []
     game_pass = True
@@ -313,7 +321,7 @@ def cmd_privacy(cfg: RunConfig, out_dir: Path) -> int:
         base = enclave.bases[op_id]
         rank, kernel = ring_kernel(base.public_base)
         want = base.d - base.m
-        ok = kernel.cols == want and rank + kernel.cols == base.d
+        ok = kernel.cols == want and rank == base.m
         kernel_pass &= ok
         kernel_rows.append([op_id, base.m, base.d, rank, kernel.cols, str(ok).lower()])
         print(f"kernel {op_id}: rank={rank} dim={kernel.cols} (d-m={want}) "

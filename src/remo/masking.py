@@ -20,7 +20,10 @@ row satisfies masked @ N == E @ N exactly, so d - m directions of each
 input reach the provider unmasked.  No choice of m closes this with one
 provider and exact recovery: the enclave must learn M @ W for every mask
 direction M it uses, so every input direction hidden from the provider
-is a direction of W exposed to the enclave.
+is a direction of W exposed to the enclave.  The enclave also chooses
+M_pub itself, and the provider checks only its shape and params, so a
+base of m identity rows reads m rows of W outright, with no lattice
+reduction.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ Each layer has four (the fused QKV projection by the d x 3d matrix
 output; MLP up and down), and the output head is one more.  Everything
 else (RMSNorm, attention scores/softmax, SiLU, residuals, greedy
 sampling) is "structural": computed on dequantized reals inside the
-enclave and re-quantized at the boundary.  `ModelWeights` holds each op
-matrix once, as the provider applies it (QKV fused in `init_weights`),
-next to the embedding and norm gains the enclave applies.
+enclave and re-quantized at the boundary.  The KV cache holds the reals
+attention reads: K and V are converted once, when they are appended.
+`ModelWeights` holds each op matrix once, as the provider applies it
+(QKV fused in `init_weights`), next to the embedding and norm gains the
+enclave applies.
 
 A prompt is fed as one block (one n-row product per op, and one
 attention call in which each row reads its causal cache prefix), and
@@ -202,57 +204,55 @@ def silu(x: RingMatrix) -> RingMatrix:
 
 
 class KVCache:
-    """Per-layer append-only key/value rows, confined to the enclave."""
+    """Per-layer append-only key/value rows, confined to the enclave, held
+    as the float64 reals attention reads (converted once, on append)."""
 
     def __init__(self, config: ModelConfig):
-        self._k = [np.zeros((config.max_seq, config.d), dtype=np.uint64) for _ in range(config.layers)]
-        self._v = [np.zeros((config.max_seq, config.d), dtype=np.uint64) for _ in range(config.layers)]
+        self._k = [np.zeros((config.max_seq, config.d)) for _ in range(config.layers)]
+        self._v = [np.zeros((config.max_seq, config.d)) for _ in range(config.layers)]
         self._len = [0] * config.layers
-        self._params = config.params
 
-    def append(self, layer: int, k_row: RingMatrix, v_row: RingMatrix) -> None:
+    def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         n = self._len[layer]
-        if n + k_row.rows > self._k[layer].shape[0]:
+        end = n + len(k_rows)
+        if end > len(self._k[layer]):
             raise SessionExhausted("KV cache full")
-        self._k[layer][n : n + k_row.rows] = k_row.data
-        self._v[layer][n : n + v_row.rows] = v_row.data
-        self._len[layer] = n + k_row.rows
+        self._k[layer][n:end] = k_rows
+        self._v[layer][n:end] = v_rows
+        self._len[layer] = end
 
-    def length(self, layer: int) -> int:
-        return self._len[layer]
-
-    def view(self, layer: int) -> tuple[RingMatrix, RingMatrix]:
+    def view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the filled key and value rows; later appends
         write past them, so a view never changes."""
         n = self._len[layer]
-        return (
-            RingMatrix(self._k[layer][:n], self._params),
-            RingMatrix(self._v[layer][:n], self._params),
-        )
+        keys, values = self._k[layer][:n], self._v[layer][:n]
+        keys.setflags(write=False)
+        values.setflags(write=False)
+        return keys, values
 
 
 def attention_structural(
-    q: RingMatrix, keys: RingMatrix, values: RingMatrix, heads: int, position: int
-) -> RingMatrix:
-    """Causal scaled dot-product attention for a block of query rows.
+    q: np.ndarray, keys: np.ndarray, values: np.ndarray, heads: int, position: int
+) -> np.ndarray:
+    """Causal scaled dot-product attention for a block of real query rows.
 
     Row r of `q` sits at `position + r` and attends to the key/value
     prefix [0, position + r], so keys/values must hold exactly
-    `position + q.rows` rows.  Each row's scores and softmax run on
-    dequantized reals over its own prefix, as if it were fed alone, and
-    the context rows are re-quantized.
+    `position + len(q)` rows.  Each row's scores and softmax run over its
+    own prefix, as if it were fed alone; the caller quantizes the
+    returned context rows.
     """
-    if keys.rows != values.rows:
+    if len(keys) != len(values):
         raise ShapeMismatch("key/value cache lengths differ")
-    if keys.rows != position + q.rows:
+    if len(keys) != position + len(q):
         raise CacheInconsistent(
-            f"cache has {keys.rows} rows but the block is {q.rows} rows at position {position}"
+            f"cache has {len(keys)} rows but the block is {len(q)} rows at position {position}"
         )
     n, d = q.shape
     d_head = d // heads
-    qd = dequantize(q).reshape(n, heads, d_head, 1)
-    kd = dequantize(keys).reshape(-1, heads, d_head).transpose(1, 0, 2)
-    vd = dequantize(values).reshape(-1, heads, d_head).transpose(1, 0, 2)
+    qd = q.reshape(n, heads, d_head, 1)
+    kd = keys.reshape(-1, heads, d_head).transpose(1, 0, 2)
+    vd = values.reshape(-1, heads, d_head).transpose(1, 0, 2)
     out = np.empty((n, heads, 1, d_head))
     for r in range(n):
         end = position + r + 1
@@ -262,7 +262,7 @@ def attention_structural(
         w = np.exp(scores)
         w /= w.sum(axis=2, keepdims=True)
         np.matmul(w, vd[:, :end], out=out[r])
-    return quantize(out.reshape(n, d), q.params)
+    return out.reshape(n, d)
 
 
 def argmax_token(logits: RingMatrix) -> int:
@@ -322,13 +322,10 @@ class DecoderEngine:
         h = embed(tokens, self.p.embedding)
         for i in range(self.cfg.layers):
             xn = rms_norm(h, self.p.attn_gains[i])
-            q, k, v = (
-                RingMatrix(part, xn.params)
-                for part in np.split(self._project(f"l{i}.wqkv", xn).data, 3, axis=1)
-            )
+            q, k, v = np.split(dequantize(self._project(f"l{i}.wqkv", xn)), 3, axis=1)
             self.cache.append(i, k, v)
             keys, values = self.cache.view(i)
-            attn = attention_structural(q, keys, values, self.cfg.heads, start)
+            attn = quantize(attention_structural(q, keys, values, self.cfg.heads, start), h.params)
             h = ring_add(h, self._project(f"l{i}.wo", attn))
             xn = rms_norm(h, self.p.mlp_gains[i])
             up = silu(self._project(f"l{i}.wup", xn))

@@ -254,6 +254,11 @@ class ProviderState:
     Sessions are not tracked; OpenSession and CloseSession are
     acknowledged by echo.  Weights are only ever right operands, so they
     are held column-major (`ring.column_major`), converted here if need be.
+
+    Limit: the enclave chooses each base, and the provider checks only its
+    shape and params, so a base of identity rows gets back those rows of
+    W, bit for bit.  One base per op bounds how many sketches an op
+    releases, not what a single sketch reveals.
     """
 
     def __init__(self, ops: dict[str, RingMatrix], params: QuantParams):

@@ -144,10 +144,15 @@ def test_env_seed_overrides(tmp_path):
         ("demo", "", ["--transport", "tcp:127.0.0.1:notaport"], "ParseError"),
         ("privacy", "", ["--game-trials", "0"], "BadParams"),
         ("privacy", "attack_op = nope", [], "UnknownOp"),
+        ("privacy", "stacking_attempts = 0", ["--game-trials", "2000"], "BadParams"),
+        ("privacy", "consistent_count = 0", ["--game-trials", "2000"], "BadParams"),
+        ("privacy", "lambda_ratios =", ["--game-trials", "2000"], "EmptyRun"),
+        ("invariance", "", ["--max-new", "0"], "EmptyRun"),
     ],
     ids=[
         "mask_ratio", "ring-width", "vocab", "heads", "corpus_kind", "transport-no-port",
-        "transport-bad-port", "game_trials", "attack_op",
+        "transport-bad-port", "game_trials", "attack_op", "stacking_attempts",
+        "consistent_count", "lambda_ratios-empty", "max_new",
     ],
 )
 def test_bad_input_exits_2_naming_the_error(tmp_path, capsys, command, config, flags, error):

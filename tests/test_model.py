@@ -143,7 +143,7 @@ def test_attention_single_position_returns_v_row():
     q = quantize(rng.normal(size=(1, 8)), P)
     k = quantize(rng.normal(size=(1, 8)), P)
     v = quantize(rng.normal(size=(1, 8)), P)
-    out = attention_structural(q, k, v, heads=2, position=0)
+    out = quantize(attention_structural(*map(dequantize, (q, k, v)), heads=2, position=0), P)
     assert out == v  # softmax over one logit is exactly 1
 
 
@@ -155,32 +155,34 @@ def test_attention_identical_keys_average_values():
     q = quantize(qr, P)
     k = quantize(np.vstack([kr, kr]), P)
     v = quantize(vr, P)
-    out = dequantize(attention_structural(q, k, v, heads=2, position=1))
+    out = dequantize(
+        quantize(attention_structural(*map(dequantize, (q, k, v)), heads=2, position=1), P)
+    )
     want = dequantize(v).mean(axis=0)
     assert np.max(np.abs(out[0] - want)) <= 2.0 ** (-P.f + 1)
 
 
 def test_attention_cache_inconsistent():
     rng = np.random.default_rng(3)
-    q = quantize(rng.normal(size=(1, 8)), P)
-    kv = quantize(rng.normal(size=(2, 8)), P)
+    q = dequantize(quantize(rng.normal(size=(1, 8)), P))
+    kv = dequantize(quantize(rng.normal(size=(2, 8)), P))
     with pytest.raises(CacheInconsistent):
         attention_structural(q, kv, kv, heads=2, position=0)
-    block = quantize(rng.normal(size=(2, 8)), P)
+    block = dequantize(quantize(rng.normal(size=(2, 8)), P))
     with pytest.raises(CacheInconsistent):  # a 2-row block at position 1 needs 3 rows
         attention_structural(block, kv, kv, heads=2, position=1)
 
 
 def attention_per_head_oracle(
-    q: RingMatrix, keys: RingMatrix, values: RingMatrix, heads: int, position: int
-) -> RingMatrix:
+    q: np.ndarray, keys: np.ndarray, values: np.ndarray, heads: int, position: int
+) -> np.ndarray:
     """attention_structural as a loop over rows and then heads, as it was
     before the heads of a row were batched."""
     n, d = q.shape
     d_head = d // heads
-    qd = dequantize(q).reshape(n, heads, d_head)
-    kd = dequantize(keys).reshape(-1, heads, d_head)
-    vd = dequantize(values).reshape(-1, heads, d_head)
+    qd = q.reshape(n, heads, d_head)
+    kd = keys.reshape(-1, heads, d_head)
+    vd = values.reshape(-1, heads, d_head)
     out = np.empty((n, d))
     for r in range(n):
         end = position + r + 1
@@ -190,7 +192,7 @@ def attention_per_head_oracle(
             w = np.exp(scores)
             w /= w.sum()
             out[r, h * d_head : (h + 1) * d_head] = w @ vd[:end, h, :]
-    return quantize(out, q.params)
+    return out
 
 
 @given(
@@ -208,10 +210,11 @@ def test_attention_matches_per_head_loop_bit_for_bit(
 ):
     d, end = heads * d_head, position + rows
     q, keys, values = (
-        random_rows(seed + i, n, d, spread, params) for i, n in enumerate((rows, end, end))
+        dequantize(random_rows(seed + i, n, d, spread, params))
+        for i, n in enumerate((rows, end, end))
     )
-    got = attention_structural(q, keys, values, heads, position)
-    want = attention_per_head_oracle(q, keys, values, heads, position)
+    got = quantize(attention_structural(q, keys, values, heads, position), params)
+    want = quantize(attention_per_head_oracle(q, keys, values, heads, position), params)
     assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -250,25 +253,26 @@ def test_argmax_tie_break_lowest_id():
 def test_kv_cache_append_and_view(toy_weights):
     cache = KVCache(CFG)
     row = quantize(np.ones((1, CFG.d)), P)
-    cache.append(0, row, row)
-    assert cache.length(0) == 1
+    cache.append(0, dequantize(row), dequantize(row))
+    assert len(cache.view(0)[0]) == 1
     k, v = cache.view(0)
-    assert k == row and v == row
-    assert cache.length(1) == 0
+    assert k.dtype == v.dtype == np.float64
+    assert quantize(k, P) == row and quantize(v, P) == row
+    assert len(cache.view(1)[0]) == 0
 
 
 def test_kv_cache_view_is_read_only_and_kept_by_later_appends():
     cache = KVCache(CFG)
     first, second = quantize(np.ones((1, CFG.d)), P), quantize(-np.ones((2, CFG.d)), P)
-    cache.append(0, first, first)
+    cache.append(0, dequantize(first), dequantize(first))
     k, v = cache.view(0)
     with pytest.raises(ValueError, match="read-only"):
-        k.data[0, 0] = 7
-    cache.append(0, second, second)
-    assert k == first and v == first
+        k[0, 0] = 7
+    cache.append(0, dequantize(second), dequantize(second))
+    assert quantize(k, P) == first and quantize(v, P) == first
     k3, _ = cache.view(0)
-    assert k3.rows == 3 and RingMatrix(k3.data[1:], P) == second
-    assert np.shares_memory(k.data, k3.data)  # views of the cache, not copies
+    assert len(k3) == 3 and quantize(k3[1:], P) == second
+    assert np.shares_memory(k, k3)  # views of the cache, not copies
 
 
 # --- engine / generate ----------------------------------------------------------------
@@ -435,7 +439,7 @@ def test_prefill_matches_serial_decoding_bit_for_bit(prefill_weights, data):
     assert batched.prefill(prompt) == want
     assert batched.pos == serial.pos == n
     for layer in range(cfg.layers):
-        assert batched.cache.length(layer) == n
+        assert len(batched.cache.view(layer)[0]) == n
         for a, b in zip(batched.cache.view(layer), serial.cache.view(layer)):
             assert a.data.tobytes() == b.data.tobytes()
     for _ in range(min(3, cfg.max_seq - n)):

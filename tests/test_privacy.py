@@ -22,8 +22,10 @@ from remo.privacy import (
 )
 from remo.protocol import (
     Enclave,
+    ErrorReply,
     InProcTransport,
     MatMulRequest,
+    PoolReply,
     ProviderState,
     RecordingTransport,
     SetupBase,
@@ -254,6 +256,22 @@ def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
     assert rows == {op: 40 if op == "head" else 110 for op in kernels}
     tokens = {t for t, _ in pairs}
     assert len(tokens) == len({v for _, v in pairs}) == len(pairs) > 40
+
+
+def test_enclave_chosen_base_reads_weight_rows(toy_weights):
+    """The enclave chooses the base and the provider checks only its shape and
+    params, so identity rows as the base read rows of W, bit for bit.  The
+    one-base-per-op rule limits how many sketches an op releases, not what
+    one sketch reveals."""
+    provider = ProviderState(toy_weights.provider_view(), P)
+    w = toy_weights.ops["l0.wqkv"]
+    d = w.rows
+    eye = np.eye(d, dtype=np.uint64)
+    reply = provider.handle(SetupBase("l0.wqkv", RingMatrix(eye[: d - 1], P)))
+    assert isinstance(reply, PoolReply)
+    assert reply.pool == RingMatrix(w.data[: d - 1], P)
+    second = provider.handle(SetupBase("l0.wqkv", RingMatrix(eye[1:], P)))
+    assert isinstance(second, ErrorReply) and second.code == "SketchReissue"
 
 
 # --- sketch stacking ----------------------------------------------------------------------
