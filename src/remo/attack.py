@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, EmptyClass, LengthMismatch, ProtocolError
+from .errors import BadParams, EmptyClass, EmptyRun, LengthMismatch, ProtocolError
 from .model import DecoderEngine, LocalWeightedOps, ModelWeights, block_rows
 from .protocol import MatMulRequest, RecordingTransport, Transcript
 from .ring import RingMatrix, dequantize
@@ -123,11 +123,19 @@ class AttackDataset:
     labels: np.ndarray
 
 
+def train_prompt_count(n_prompts: int) -> int:
+    """Prompts in the training share; EmptyRun if the train or attack share is empty."""
+    cut = int(round(TRAIN_FRAC * n_prompts))
+    if not 0 < cut < n_prompts:
+        raise EmptyRun(f"attack_prompts={n_prompts} leaves an empty train or attack split; need >= 3")
+    return cut
+
+
 def train_mask(views: CollectedViews, seed: int = 0) -> np.ndarray:
     """Boolean per-position mask selecting the training share, split at the prompt level."""
     n_prompts = int(views.prompt_index.max()) + 1 if len(views) else 0
+    cut = train_prompt_count(n_prompts)
     order = np.random.default_rng(seed).permutation(n_prompts)
-    cut = int(round(TRAIN_FRAC * n_prompts))
     train_set = set(order[:cut].tolist())
     return np.array([pi in train_set for pi in views.prompt_index])
 

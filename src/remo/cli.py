@@ -243,6 +243,7 @@ def cmd_invariance(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_attack(cfg: RunConfig, out_dir: Path) -> int:
+    atk.train_prompt_count(cfg.attack_prompts)  # EmptyRun before any session
     weights, provider, enclave = _build_world(cfg)
     prompts = atk.make_corpus(
         cfg.attack_prompts, cfg.attack_prompt_len, cfg.vocab, cfg.seed_for("corpus"), cfg.corpus_kind

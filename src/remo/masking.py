@@ -1,29 +1,34 @@
-"""Hybrid masking: fixed public base per weight matrix, fresh private mixing per step.
+"""Hybrid masking: fixed systematic public base per weight matrix, fresh private mixing per step.
 
-Setup releases a single random m x d public base per weight matrix
-(m < d, so the provider-side product reveals only an underdetermined
-sketch of the weights) and keeps it, with the restoration pool the
-provider returns for it, as one immutable MaskBase.  The provider
-refuses a second base for an op; the issuer here only draws bases.  At
-every decoding step the enclave draws a fresh private n x m mixing
-matrix (one row per input row, so a prefilled prompt block is masked in
-one draw), applies the additive mask E + M_pvt @ M_pub, and later removes
-the provider's contribution exactly via O_hat - M_pvt @ R_pub.
+Setup releases one public base per weight matrix in systematic form
+M_pub = [I_m | R], R uniform m x (d - m) with m < d, so the provider's
+product is an underdetermined sketch of the weights.  R stands for the
+base everywhere: the wire carries R, the provider returns the pool
+W[:m] + R @ W[m:], and a MaskBase keeps R with that pool.  The provider
+refuses a second base for an op.  At every decoding step the enclave
+draws a fresh private n x m mixing matrix (one row per input row, so a
+prompt block is masked in one draw), sends
+E + M_pvt @ M_pub = [E_1 + M_pvt | E_2 + M_pvt @ R], and removes the
+provider's contribution exactly via O_hat - M_pvt @ pool.  The full mask
+exists only inside mask_embedding; M_pvt never crosses the wire.
 
-The full mask M_pvt @ M_pub exists only transiently inside
-mask_embedding; the private mixing matrix never crosses the wire.
+Why systematic: a base of full row rank has a unit m x m minor, so it is
+A @ [I_m | R'] @ Pi for a unit A and a column permutation Pi.  M_pvt @ A
+is uniform when M_pvt is, so the masked rows, and the pool up to the
+secret-free factor A, are those of [I_m | R'] @ Pi.  A uniform R thus
+shows the provider what a rank-checked uniform base shows it, with no
+rank check and half the draws and pool multiply-adds.
 
-Limit: the mask spans only the m-dimensional row space of M_pub, and the
-provider receives M_pub at setup.  For the ring kernel N of M_pub
-(`ring.ring_kernel`, d x (d - m), M_pub @ N == 0 mod 2^64) every masked
-row satisfies masked @ N == E @ N exactly, so d - m directions of each
-input reach the provider unmasked.  No choice of m closes this with one
-provider and exact recovery: the enclave must learn M @ W for every mask
-direction M it uses, so every input direction hidden from the provider
-is a direction of W exposed to the enclave.  The enclave also chooses
-M_pub itself, and the provider checks only its shape and params, so a
-base of m identity rows reads m rows of W outright, with no lattice
-reduction.
+Limit: the mask spans only the row space of M_pub, which the provider
+knows.  Its ring kernel is N = [-R; I_{d-m}] (`ring.ring_kernel`), and
+masked @ N == E @ N exactly, so d - m directions of each input reach the
+provider unmasked.  No m closes this with one provider and exact
+recovery: every input direction hidden from the provider is a direction
+of W the enclave learns.
+
+Trust model: weight privacy against the client assumes an attested
+enclave.  A client that writes its own messages reads W directly: R = 0
+returns W[:m], and unit-row requests return rows of W.
 """
 
 from __future__ import annotations
@@ -34,76 +39,50 @@ import numpy as np
 
 from .errors import BadDims, ShapeMismatch
 from .prg import PrgKey
-from .ring import QuantParams, RingMatrix, ring_add, ring_matmul, ring_sub
+from .ring import QuantParams, RingMatrix, ring_matmul, ring_sub
 
 
 @dataclass(frozen=True)
 class MaskBase:
-    """One weighted op's m x d public base and its m x d_out restoration pool.
+    """One weighted op's R, of the base [I_m | R], and its m x d_out restoration pool.
 
-    `Enclave.setup` builds one only after the pool has arrived and fits
-    the base (m rows, the base's params), so every base in use has one.
-    The pool holds the raw ring product of the base with the weight
-    matrix, i.e. at fixed-point scale 2f: recovery must subtract it from
-    the equally raw masked product before any rescaling.  Both are only
-    right operands (mask apply, recover), so `Enclave.setup` stores them
-    column-major (`ring.column_major`); the wire keeps the drawn base.
+    `Enclave.setup` builds one only after the pool has arrived and fits R
+    (m rows, R's params).  The pool is the raw ring product
+    W[:m] + R @ W[m:], at scale 2f, so recovery subtracts it before any
+    rescaling.  Both are only right operands, so `Enclave.setup` stores
+    them column-major (`ring.column_major`).
     """
 
-    public_base: RingMatrix
+    r: RingMatrix
     pool: RingMatrix
 
     @property
     def m(self) -> int:
-        return self.public_base.rows
+        return self.r.rows
 
     @property
     def d(self) -> int:
-        return self.public_base.cols
+        return self.r.rows + self.r.cols
 
-
-def _gf2_row_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as bit-packed ints."""
-    basis: dict[int, int] = {}  # leading bit -> the one basis row with it
-    for value in rows:
-        while value:
-            lead = value.bit_length()
-            if lead not in basis:
-                basis[lead] = value
-                break
-            value ^= basis[lead]
-    return len(basis)
-
-
-def _full_row_rank(matrix: RingMatrix) -> bool:
-    # full rank of the low bits over GF(2) implies full row rank over the
-    # rationals (some m x m minor has odd determinant) and over the ring.
-    # Each row's low bits become one int, first column most significant;
-    # packbits pads a row to whole bytes with zero low bits, which shifts
-    # every row alike and so keeps the rank.
-    packed = np.packbits((matrix.data & np.uint64(1)).astype(np.uint8), axis=1)
-    rows = [int.from_bytes(row.tobytes(), "big") for row in packed]
-    return _gf2_row_rank(rows) == matrix.rows
+    @property
+    def public_base(self) -> RingMatrix:
+        """[I_m | R], built per call for the sketch analyses; sessions never need it."""
+        eye = np.eye(self.m, dtype=np.uint64)
+        return RingMatrix(np.hstack([eye, self.r.data]), self.r.params)
 
 
 @dataclass(frozen=True)
 class MaskIssuer:
-    """Draws full-row-rank public bases, deterministic per op id."""
+    """Draws the R block of each op's systematic public base, deterministic per op id."""
 
     prg: PrgKey
     params: QuantParams
 
     def gen_public_base(self, op_id: str, m: int, d: int) -> RingMatrix:
-        if m >= d:
-            raise BadDims(f"sketch rows m={m} must be < input dim d={d}")
-        if m < 1:
-            raise BadDims("need m >= 1")
-        attempt = 0
-        while True:
-            base = self.prg.ring_matrix(m, d, self.params, "public-base", op_id, attempt)
-            if _full_row_rank(base):
-                return base
-            attempt += 1  # rank deficiency has probability ~2^-(d-m); retry deterministically
+        """R, uniform m x (d - m), of the base [I_m | R]; full row rank by construction."""
+        if not 1 <= m < d:
+            raise BadDims(f"sketch rows m={m} must be >= 1 and < input dim d={d}")
+        return self.prg.ring_matrix(m, d - m, self.params, "public-base", op_id)
 
 
 def derive_step_mask(
@@ -121,13 +100,17 @@ def derive_step_mask(
     return prg.ring_matrix(n, m, params, "private-mix", step, op_id)
 
 
-def mask_embedding(e: RingMatrix, m_pvt: RingMatrix, m_pub: RingMatrix) -> RingMatrix:
-    """E + M_pvt @ M_pub; the combined mask never escapes this frame."""
-    if e.cols != m_pub.cols or m_pvt.cols != m_pub.rows or e.rows != m_pvt.rows:
-        raise ShapeMismatch(
-            f"mask shapes incompatible: E {e.shape}, M_pvt {m_pvt.shape}, M_pub {m_pub.shape}"
-        )
-    return ring_add(e, ring_matmul(m_pvt, m_pub))
+def mask_embedding(e: RingMatrix, m_pvt: RingMatrix, r: RingMatrix) -> RingMatrix:
+    """E + M_pvt @ [I_m | R] = [E_1 + M_pvt | E_2 + M_pvt @ R], E split after column m,
+    written into one output; the combined mask never escapes this frame."""
+    m = r.rows
+    if e.cols != m + r.cols or m_pvt.cols != m or e.rows != m_pvt.rows or e.params != m_pvt.params:
+        raise ShapeMismatch(f"mask operands incompatible: E {e!r}, M_pvt {m_pvt!r}, R {r!r}")
+    mixed = ring_matmul(m_pvt, r)  # checks the params of M_pvt and R
+    out = np.empty(e.shape, dtype=np.uint64)
+    np.add(e.data[:, :m], m_pvt.data, out=out[:, :m])
+    np.add(e.data[:, m:], mixed.data, out=out[:, m:])
+    return RingMatrix(out, e.params)
 
 
 def recover(o_hat: RingMatrix, m_pvt: RingMatrix, r_pub: RingMatrix) -> RingMatrix:

@@ -12,12 +12,15 @@ Three independent verifications:
   a grid-integration cross-check in up to 3 dimensions.
 
 * Sketch algebra over Z_2^64, the ring the provider's replies live in:
-  with the rank and right kernel of a public base from odd-pivot
-  elimination (`ring.ring_kernel`; kernel dimension d - m makes the
-  weights non-identifiable from one sketch), explicit enumeration of
-  distinct ring weights W0 + N @ Z that reproduce the pool exactly, and
-  a rule-violating stacking demo showing that independent extra sketches
+  with the rank and right kernel [-R; I] of a public base [I_m | R]
+  (`ring.ring_kernel`; kernel dimension d - m makes the weights
+  non-identifiable from one sketch), explicit enumeration of distinct
+  ring weights W0 + N @ Z that reproduce the pool exactly, and a
+  rule-violating stacking demo showing that independent extra sketches
   collapse the kernel and surrender the weights.
+
+Trust model: weight privacy against the client assumes an attested
+enclave; these results describe what an honest enclave's state reveals.
 
 Bound experiments run on real-valued uniform masks, matching the
 analysis they verify.  Sketch algebra is exact integer arithmetic mod

@@ -51,7 +51,7 @@ MAX_FRAME = 1 << 28  # desk-scale sanity cap
 @dataclass(frozen=True)
 class SetupBase:
     op_id: str
-    base: RingMatrix
+    r: RingMatrix  # R, m x (d - m), of the op's public base [I_m | R]
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _unpack_str(buf: bytes, offset: int, width: int = 2) -> tuple[str, int]:
 
 def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, SetupBase):
-        return _pack_str(msg.op_id) + encode_matrix(msg.base)
+        return _pack_str(msg.op_id) + encode_matrix(msg.r)
     if isinstance(msg, PoolReply):
         return _pack_str(msg.op_id) + encode_matrix(msg.pool)
     if isinstance(msg, (MatMulRequest, MatMulReply)):
@@ -255,10 +255,10 @@ class ProviderState:
     acknowledged by echo.  Weights are only ever right operands, so they
     are held column-major (`ring.column_major`), converted here if need be.
 
-    Limit: the enclave chooses each base, and the provider checks only its
-    shape and params, so a base of identity rows gets back those rows of
-    W, bit for bit.  One base per op bounds how many sketches an op
-    releases, not what a single sketch reveals.
+    Trust model: weight privacy against the client assumes an attested
+    enclave.  Any MatMulRequest of the d_in unit rows reads an op's W with
+    no setup, and R = 0 reads W[:m]; one base per op bounds how many
+    sketches an op releases, not what one reveals.
     """
 
     def __init__(self, ops: dict[str, RingMatrix], params: QuantParams):
@@ -282,30 +282,32 @@ class ProviderState:
             return type(msg)(msg.session)
         raise ProtocolError(f"provider cannot handle {type(msg).__name__}")
 
-    def _weights_for(self, op_id: str, x: RingMatrix, what: str) -> RingMatrix:
-        """The weights `x` (the request's `what`) is multiplied by, once it fits them."""
+    def _weights_for(self, op_id: str, x: RingMatrix, cols: int, what: str) -> RingMatrix:
+        """The weights `x` (the request's `what`, `cols` wide) is multiplied by, once it fits them."""
         w = self.ops.get(op_id)
         if w is None:
             raise UnknownOp(f"no weight matrix registered for {op_id!r}")
-        if x.cols != w.rows:
-            raise ShapeMismatch(f"{what} for {op_id!r} has {x.cols} cols, weights expect {w.rows}")
+        if cols != w.rows:
+            raise ShapeMismatch(f"{what} for {op_id!r} has {cols} cols, weights expect {w.rows}")
         if x.params != self.params:
             raise ShapeMismatch(f"{what} params differ from provider params")
         return w
 
     def _setup(self, msg: SetupBase) -> PoolReply:
-        w = self._weights_for(msg.op_id, msg.base, "base")
-        if msg.base.rows >= msg.base.cols:  # a pool of d independent rows would solve for W
-            raise BadDims(f"base for {msg.op_id!r} has {msg.base.rows} rows, must be < {msg.base.cols}")
+        r, m = msg.r, msg.r.rows
+        if m < 1 or r.cols < 1:  # R.cols >= 1 keeps m < d: d independent rows would solve for W
+            raise BadDims(f"R for {msg.op_id!r} is {r.rows}x{r.cols}, needs >= 1 row and >= 1 col")
+        w = self._weights_for(msg.op_id, r, m + r.cols, "base [I | R]")
         with self._lock:
             if msg.op_id in self.issued:
                 raise SketchReissue(f"base for {msg.op_id!r} already issued")
             self.issued.add(msg.op_id)
-        # raw product, scale 2f: the enclave subtracts before rescaling
-        return PoolReply(msg.op_id, ring_matmul(msg.base, w))
+        # [I | R] @ W as a raw product, scale 2f: the enclave subtracts before rescaling
+        tail = ring_matmul(r, RingMatrix(w.data[m:], w.params))
+        return PoolReply(msg.op_id, RingMatrix(w.data[:m] + tail.data, w.params))
 
     def _matmul(self, msg: MatMulRequest) -> MatMulReply:
-        w = self._weights_for(msg.op_id, msg.masked, "input")
+        w = self._weights_for(msg.op_id, msg.masked, msg.masked.cols, "input")
         return MatMulReply(msg.session, msg.step, msg.op_id, ring_matmul(msg.masked, w))
 
 
@@ -510,16 +512,16 @@ class Enclave:
                 if op_id in self.bases:
                     continue
                 d_in, d_out = self.cfg.op_dims(op_id)
-                public_base = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
-                reply = transport.request(SetupBase(op_id, public_base))
+                r = self._issuer.gen_public_base(op_id, self.mask_rows(d_in), d_in)
+                reply = transport.request(SetupBase(op_id, r))
                 pool = _expect(reply, PoolReply, op_id=op_id).pool
-                want = (public_base.rows, d_out)
-                if pool.shape != want or pool.params != public_base.params:
+                want = (r.rows, d_out)
+                if pool.shape != want or pool.params != r.params:
                     raise ShapeMismatch(
                         f"pool for {op_id!r} is {pool!r}, expected {want[0]}x{want[1]} "
-                        f"with the base's {public_base.params}"
+                        f"with the base's {r.params}"
                     )
-                self.bases[op_id] = MaskBase(column_major(public_base), column_major(pool))
+                self.bases[op_id] = MaskBase(column_major(r), column_major(pool))
 
     def run_session(self, transport, prompt, max_new: int) -> list[int]:
         """Setup if needed, then prefill and decode one prompt.
@@ -564,7 +566,7 @@ class _MaskedWeightedOps:
             raise ProtocolError(f"{op_id!r} outsourced twice in step {step}")
         self.sent.add(op_id)
         m_pvt = derive_step_mask(self.prg, step, op_id, x.rows, base.m, x.params)
-        masked = mask_embedding(x, m_pvt, base.public_base)
+        masked = mask_embedding(x, m_pvt, base.r)
         reply = self.transport.request(MatMulRequest(self.session_id, step, op_id, masked))
         reply = _expect(reply, MatMulReply, session=self.session_id, step=step, op_id=op_id)
         return recover(reply.product, m_pvt, base.pool)  # raises ShapeMismatch on a bad product

@@ -59,6 +59,11 @@ def slow_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
+def full_base(r: RingMatrix) -> RingMatrix:
+    """The systematic public base [I_m | R] of an m x (d - m) block R."""
+    return RingMatrix(np.hstack([np.eye(r.rows, dtype=np.uint64), r.data]), r.params)
+
+
 def zero_step_mask(prg, step, op_id, n, m, params) -> RingMatrix:
     """Stand-in for `derive_step_mask` in negative controls: an all-zero
     private mixing matrix, so the raw embeddings go on the wire."""

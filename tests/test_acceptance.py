@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_message, zero_step_mask
+from conftest import full_base, random_message, zero_step_mask
 
 import remo.protocol
 from remo import attack as atk
 from remo import privacy as pv
 from remo.cli import RunConfig
 from remo.masking import derive_step_mask, mask_embedding, recover
-from remo.model import init_weights, reference_generate
+from remo.model import RMS_EPS, ModelConfig, attention_structural, init_weights, reference_generate
 from remo.prg import PrgKey
 from remo.privacy import GameConfig
 from remo.protocol import (
@@ -73,20 +73,81 @@ def test_criterion_1_output_invariance(acfg, aweights):
     )
 
 
+def float_generate(cfg: ModelConfig, seed: int, prompt, max_new: int) -> list[int]:
+    """Greedy tokens of the float64 model that `init_weights` quantizes.
+
+    Replays its draws in order (embedding; per layer Wq, Wk, Wv, Wo, Wup,
+    Wdown; head) and runs the structural formulas of `remo.model` with no
+    rounding; the norm gains are exactly 1.  Each step recomputes the whole
+    sequence, attending from position 0.
+    """
+    rng = np.random.default_rng(seed)
+    d, d_ff = cfg.d, cfg.d_ff
+    b_d, b_ff = 1.0 / np.sqrt(d), 1.0 / np.sqrt(d_ff)
+
+    def draw(rows, cols, bound):
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    embedding = draw(cfg.vocab, d, 1.0)
+    layers = [(np.hstack([draw(d, d, b_d) for _ in range(3)]), draw(d, d, b_d),
+               draw(d, d_ff, b_d), draw(d_ff, d, b_ff)) for _ in range(cfg.layers)]
+    head = draw(d, cfg.vocab, b_d)
+
+    def norm(x):
+        return x / np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / d + RMS_EPS)
+
+    tokens, out = [int(t) for t in prompt], []
+    while len(out) < max_new and (not out or out[-1] != cfg.eos_id):
+        h = embedding[tokens]
+        for wqkv, wo, wup, wdown in layers:
+            q, k, v = np.split(norm(h) @ wqkv, 3, axis=1)
+            h = h + attention_structural(q, k, v, cfg.heads, 0) @ wo
+            u = norm(h) @ wup
+            h = h + u / (1.0 + np.exp(-u)) @ wdown
+        out.append(int(np.argmax(norm(h[-1:]) @ head)))
+        tokens.append(out[-1])
+    return out
+
+
+def test_partitioned_tokens_equal_the_float_model(toy_weights):
+    """At the default f, 100 toy prompts (corpus seed 99, 8 tokens, 16 new)
+    give the float64 model's greedy tokens through the masked pipeline."""
+    t0 = time.time()
+    cfg = toy_weights.config
+    enclave = Enclave(toy_weights.enclave_view(), master_seed=7)
+    transport = InProcTransport(ProviderState(toy_weights.provider_view(), cfg.params))
+    prompts = atk.make_corpus(100, 8, cfg.vocab, seed=99)
+    diverged = []
+    for i, prompt in enumerate(prompts):
+        got = enclave.run_session(transport, prompt, 16)
+        want = float_generate(cfg, 1234, prompt, 16)
+        if got != want:
+            at = next((j for j, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+            diverged.append(f"prompt {i} at token {at}: {got[at:at + 3]} vs float {want[at:at + 3]}")
+    report(
+        "float model (lossless at the default f)",
+        not diverged,
+        f"{len(prompts) - len(diverged)}/{len(prompts)} prompts match"
+        + (f"; first divergence: {diverged[0]}" if diverged else ""),
+        time.time() - t0,
+    )
+
+
 def test_criterion_2_exact_recovery():
-    """10^4 random (E, W, M_pvt, M_pub) tuples up to 8x8: zero element error."""
+    """10^4 random (E, W, M_pvt, R) tuples up to 8x8, M_pub = [I_m | R]: zero element error."""
     t0 = time.time()
     rng = np.random.default_rng(20_000)
     key = PrgKey.from_int(20_001)
     failures = 0
     for trial in range(10_000):
-        n, m, d, dout = (int(v) for v in rng.integers(1, 9, 4))
+        n, dout, d = (int(v) for v in rng.integers((1, 1, 2), 9))
+        m = int(rng.integers(1, d))
         e = RingMatrix.from_ints(rng.integers(0, 2**64, (n, d), dtype=np.uint64).tolist(), P)
         w = RingMatrix.from_ints(rng.integers(0, 2**64, (d, dout), dtype=np.uint64).tolist(), P)
-        m_pub = key.ring_matrix(m, d, P, "base", trial)
+        r = key.ring_matrix(m, d - m, P, "base", trial)
         m_pvt = derive_step_mask(key, trial, "op", n, m, P)
-        o_hat = ring_matmul(mask_embedding(e, m_pvt, m_pub), w)
-        r_pub = ring_matmul(m_pub, w)
+        o_hat = ring_matmul(mask_embedding(e, m_pvt, r), w)
+        r_pub = ring_matmul(full_base(r), w)
         if recover(o_hat, m_pvt, r_pub) != ring_matmul(e, w):
             failures += 1
     report(

@@ -148,18 +148,25 @@ def test_env_seed_overrides(tmp_path):
         ("privacy", "consistent_count = 0", ["--game-trials", "2000"], "BadParams"),
         ("privacy", "lambda_ratios =", ["--game-trials", "2000"], "EmptyRun"),
         ("invariance", "", ["--max-new", "0"], "EmptyRun"),
+        ("attack", "", ["--attack-prompts", "0"], "EmptyRun"),
+        ("attack", "", ["--attack-prompts", "1"], "EmptyRun"),
+        ("attack", "", ["--attack-prompts", "2"], "EmptyRun"),
     ],
     ids=[
         "mask_ratio", "ring-width", "vocab", "heads", "corpus_kind", "transport-no-port",
         "transport-bad-port", "game_trials", "attack_op", "stacking_attempts",
         "consistent_count", "lambda_ratios-empty", "max_new",
+        "attack_prompts-0", "attack_prompts-1", "attack_prompts-2",
     ],
 )
 def test_bad_input_exits_2_naming_the_error(tmp_path, capsys, command, config, flags, error):
     # exit 1 means "a check failed"; a bad input must not read as one
     args = [command, "--config", str(write(tmp_path, config + "\n")), "--out-dir", str(tmp_path / "out")]
     assert main([*args, *flags]) == 2
-    assert f"error: {error}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {error}: " in err
+    if command == "attack":  # the message names the setting, and nothing was reported
+        assert "attack_prompts" in err and not (tmp_path / "out" / "report.json").exists()
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -17,6 +18,9 @@ import remo
 from remo import errors
 from remo.cli import RunConfig
 from remo.errors import BadParams, ProtocolError, RemoError
+import remo.masking
+import remo.model
+import remo.protocol
 from remo.protocol import Enclave
 from remo.ring import QuantParams
 
@@ -163,3 +167,29 @@ def test_remo_never_imports_scipy():
     run = subprocess.run([sys.executable, "-c", FRESH_IMPORT, remo.__file__],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_bench_span_hooks_rebind_names_that_exist():
+    # bench/spans.py times remo by rebinding names in `src/`; tier-1 does not
+    # run bench/, so a rename there would break `bench/run.py --trace 1` silently.
+    # `install` reads each target from its owner's __dict__: a missing one raises.
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("remo_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    owners = [remo.protocol, remo.model, remo.masking, remo.protocol.ProviderState,
+              remo.masking.MaskIssuer, remo.model.KVCache, remo.model.DecoderEngine]
+
+    def bindings():
+        return {(owner.__name__, name): value for owner in owners for name, value in vars(owner).items()}
+
+    before = bindings()
+    restore = spans.install(spans.Tracer())
+    try:
+        during = bindings()
+    finally:
+        restore()
+    rebound = {key for key, value in during.items() if value is not before[key]}
+    assert ("MaskIssuer", "gen_public_base") in rebound and ("remo.protocol", "ring_matmul") in rebound
+    assert all(value is before[key] for key, value in bindings().items())
+    assert bindings().keys() == before.keys()

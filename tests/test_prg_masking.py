@@ -2,52 +2,28 @@
 
 import dataclasses
 import hashlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import full_base
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from remo import Enclave, InProcTransport, ModelConfig, ProviderState, init_weights
-from remo.errors import BadDims, RemoError, ShapeMismatch
+from remo.errors import BadDims, ShapeMismatch
 from remo.masking import (
     MaskBase,
     MaskIssuer,
-    _full_row_rank,
-    _gf2_row_rank,
     derive_step_mask,
     mask_embedding,
     recover,
 )
 from remo.prg import PrgKey
-from remo.protocol import PoolReply
+from remo.protocol import ErrorReply, MatMulReply, MatMulRequest, PoolReply, SetupBase
 from remo.ring import QuantParams, RingMatrix, ring_kernel, ring_matmul, zeros
 
 P = QuantParams()
-
-
-def rational_row_rank(matrix: RingMatrix) -> int:
-    """Independent oracle: exact row reduction on dequantized rationals."""
-    rows = [
-        [Fraction(int(v), 1 << matrix.params.f) for v in row] for row in matrix.signed()
-    ]
-    rank = 0
-    n_cols = len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-    return rank
 
 
 # --- PRG --------------------------------------------------------------------
@@ -87,10 +63,11 @@ def test_prg_low_byte_uniformity_chi_square():
 
 def test_gen_public_base_deterministic_and_full_rank():
     issuer = MaskIssuer(PrgKey.from_int(11), P)
-    base = issuer.gen_public_base("q0", m=2, d=4)
+    r = issuer.gen_public_base("q0", m=2, d=4)
     again = MaskIssuer(PrgKey.from_int(11), P).gen_public_base("q0", m=2, d=4)
-    assert base == again
-    assert rational_row_rank(base) == 2
+    assert r == again and r.shape == (2, 2)
+    assert r != issuer.gen_public_base("q1", m=2, d=4)
+    assert ring_kernel(full_base(r))[0] == 2
 
 
 def test_gen_public_base_bad_dims():
@@ -99,88 +76,18 @@ def test_gen_public_base_bad_dims():
         issuer.gen_public_base("q1", m=4, d=4)
 
 
-def test_gen_public_base_rank_at_larger_shapes():
-    issuer = MaskIssuer(PrgKey.from_int(5), P)
-    for op, (m, d) in {"a": (16, 32), "b": (32, 64)}.items():
-        base = issuer.gen_public_base(op, m=m, d=d)
-        assert rational_row_rank(base) == m
-
-
-def bitwise_full_row_rank(matrix: RingMatrix) -> bool:
-    """The rank check with rows packed one element at a time."""
-    rows = []
-    for r in matrix.data:
-        bits = 0
-        for v in r:
-            bits = (bits << 1) | (int(v) & 1)
-        rows.append(bits)
-    return _gf2_row_rank(rows) == matrix.rows
-
-
-def test_full_row_rank_matches_bitwise_packing():
-    rng = np.random.default_rng(8)
-    verdicts = []
-    for _ in range(300):
-        d = int(rng.integers(1, 40))
-        m = max(1, d + int(rng.integers(-2, 2)))
-        matrix = RingMatrix(rng.integers(0, 2**64, (m, d), dtype=np.uint64), P)
-        verdicts.append(_full_row_rank(matrix))
-        assert verdicts[-1] == bitwise_full_row_rank(matrix)
-        try:
-            ring_full = ring_kernel(matrix)[0] == m
-        except RemoError:  # left a non-zero row: needs an even pivot
-            ring_full = False
-        assert ring_full == verdicts[-1]
-    assert any(verdicts) and not all(verdicts)
-
-
-@pytest.mark.parametrize("d", [7, 8, 36, 1024])
-def test_full_row_rank_rejects_deficient_rows(d):
-    rng = np.random.default_rng(d)
-    data = rng.integers(0, 2**64, (max(2, d // 2), d), dtype=np.uint64)
-    assert _full_row_rank(RingMatrix(data, P)) == bitwise_full_row_rank(RingMatrix(data, P))
-    repeated = data.copy()
-    repeated[-1] = repeated[0]
-    all_even = data.copy()
-    all_even[1] &= np.uint64(2**64 - 2)
-    for matrix in (RingMatrix(repeated, P), RingMatrix(all_even, P)):
-        assert not _full_row_rank(matrix)
-        assert not bitwise_full_row_rank(matrix)
-
-
-# sha256 of the public bases and of the pools, in op order, of two op
-# groups.  Bases are drawn under their op id, so the ops that kept their id
-# when Q/K/V were fused (wo, wup, wdown, head) keep the digests the
-# one-element-at-a-time rank packing issued them; only the fused wqkv
-# group is pinned from the fused model.
-_KEPT_OPS = ("wo", "wup", "wdown", "head")
+# sha256 of every op's R and of every pool, in op order.  Both changed
+# when bases became systematic: R is drawn under ("public-base", op id)
+# with no rank-check retry, and the pool is W[:m] + R @ W[m:].
 _PINNED_SETUP = {
-    "toy": (
-        ModelConfig(), 1234, 99,
-        {
-            "kept": (
-                "8e6c444039f27b387028daa8f79a3dd99c55fe019ec0c0c90a861f59de184ffe",
-                "84626925795f4ef017d5daec9d79dd088ce4716fb45982566d3d4133d63b0456",
-            ),
-            "wqkv": (
-                "537a8187e619abe9e5c65347964ec5ee4512689e52a56c50b17b2d3eb7a9543e",
-                "0f3c296cb5137b76871ee912bebbcbb9fcce358850b053112297f8cdb6353af8",
-            ),
-        },
-    ),
-    "odd-width": (
-        ModelConfig(vocab=40, d=36, heads=4, d_ff=44), 7, 5,
-        {
-            "kept": (
-                "ca7331b17b2978eb351e426210d210fbbce2e311757e6dfeff03fba0698771d7",
-                "bf9d657573c592a497a69983a0417117121b0d50004d45cb2534dca2fb68f3c3",
-            ),
-            "wqkv": (
-                "b3e52a4d2647d6a968de9b4f14d7c27d1d08c2990ceeb4e884729e13c38cd89e",
-                "fab51b8627dae7265a6c67905097d9f56459eb97a410c7d03fa3e1a9601cf463",
-            ),
-        },
-    ),
+    "toy": (ModelConfig(), 1234, 99, (
+        "06d75a76e4b2e3f39c96418731bc568b8558ae032db14e02dfd59985a771c355",
+        "6647488fbd8a2dee739de294adc003bb0544b48d103fd33187e22a51821475ff",
+    )),
+    "odd-width": (ModelConfig(vocab=40, d=36, heads=4, d_ff=44), 7, 5, (
+        "3057b3faa1a8187f91953a523fe8f91f6da9c30bceb85aeb469267375e6cee1c",
+        "a989bd6476c7fd1be25c1e6721853dcc689c989b6588f0e9d53af1f489754873",
+    )),
 }
 
 
@@ -190,17 +97,11 @@ def test_setup_bases_and_pools_pinned(name):
     weights = init_weights(cfg, seed=weight_seed)
     enclave = Enclave(weights.enclave_view(), master_seed=enclave_seed)
     enclave.setup(InProcTransport(ProviderState(weights.provider_view(), cfg.params)))
-    groups = {
-        "kept": [op for op in cfg.op_ids() if op.split(".")[-1] in _KEPT_OPS],
-        "wqkv": [op for op in cfg.op_ids() if op.endswith(".wqkv")],
-    }
-    assert sorted(groups["kept"] + groups["wqkv"]) == sorted(cfg.op_ids())
-    for group, ops in groups.items():
-        bases, pools = hashlib.sha256(), hashlib.sha256()
-        for op_id in ops:
-            bases.update(enclave.bases[op_id].public_base.data.tobytes())
-            pools.update(enclave.bases[op_id].pool.data.tobytes())
-        assert (bases.hexdigest(), pools.hexdigest()) == pinned[group], group
+    bases, pools = hashlib.sha256(), hashlib.sha256()
+    for op_id in cfg.op_ids():
+        bases.update(enclave.bases[op_id].r.data.tobytes())
+        pools.update(enclave.bases[op_id].pool.data.tobytes())
+    assert (bases.hexdigest(), pools.hexdigest()) == pinned
 
 
 def test_wqkv_pool_is_the_column_concatenation(toy_weights):
@@ -218,9 +119,10 @@ def test_wqkv_pool_is_the_column_concatenation(toy_weights):
 
 
 def test_mask_base_is_frozen_with_dims_from_its_base():
-    public_base = MaskIssuer(PrgKey.from_int(12), P).gen_public_base("w", m=2, d=4)
-    base = MaskBase(public_base, zeros(2, 3, P))
+    r = MaskIssuer(PrgKey.from_int(12), P).gen_public_base("w", m=2, d=4)
+    base = MaskBase(r, zeros(2, 3, P))
     assert (base.m, base.d) == (2, 4)
+    assert base.public_base == full_base(r)
     with pytest.raises(dataclasses.FrozenInstanceError):
         base.pool = zeros(2, 3, P)
 
@@ -297,16 +199,16 @@ def test_step_mask_uniformity():
 
 def test_mask_with_zero_mixing_is_identity():
     e = RingMatrix.from_ints([[10, 20, 30]], P)
-    m_pub = RingMatrix.from_ints([[1, 1, 1], [2, 2, 2]], P)
-    assert mask_embedding(e, zeros(1, 2, P), m_pub) == e
+    r = RingMatrix.from_ints([[1], [2]], P)
+    assert mask_embedding(e, zeros(1, 2, P), r) == e
 
 
 def test_mask_hand_example():
-    # integer semantics: E=[[1,2]], M_pvt=[[5]], M_pub=[[1,1]] -> E_hat=[[6,7]]
+    # integer semantics: E=[[1,2]], M_pvt=[[5]], M_pub=[[1,1]] (R=[[1]]) -> E_hat=[[6,7]]
     e = RingMatrix.from_ints([[1, 2]], P)
     m_pvt = RingMatrix.from_ints([[5]], P)
-    m_pub = RingMatrix.from_ints([[1, 1]], P)
-    assert mask_embedding(e, m_pvt, m_pub).to_ints() == [[6, 7]]
+    r = RingMatrix.from_ints([[1]], P)
+    assert mask_embedding(e, m_pvt, r).to_ints() == [[6, 7]]
 
 
 def test_recover_with_zero_mixing_is_identity():
@@ -316,13 +218,13 @@ def test_recover_with_zero_mixing_is_identity():
 
 
 def test_recover_hand_example():
-    # E=[[1,2]], W=[[3],[4]], M_pvt=[[5]], M_pub=[[1,1]]:
+    # E=[[1,2]], W=[[3],[4]], M_pvt=[[5]], M_pub=[[1,1]] (R=[[1]]):
     # E_hat=[[6,7]], O_hat=[[46]], R_pub=[[7]], O = 46 - 5*7 = [[11]] = EW
     e = RingMatrix.from_ints([[1, 2]], P)
     w = RingMatrix.from_ints([[3], [4]], P)
     m_pvt = RingMatrix.from_ints([[5]], P)
     m_pub = RingMatrix.from_ints([[1, 1]], P)
-    e_hat = mask_embedding(e, m_pvt, m_pub)
+    e_hat = mask_embedding(e, m_pvt, RingMatrix.from_ints([[1]], P))
     assert e_hat.to_ints() == [[6, 7]]
     o_hat = ring_matmul(e_hat, w)
     assert o_hat.to_ints() == [[46]]
@@ -337,12 +239,14 @@ def test_mask_then_recover_property_1000_trials():
     rng = np.random.default_rng(9)
     key = PrgKey.from_int(31)
     for trial in range(1000):
-        n, m, d, dout = (int(v) for v in rng.integers(1, 7, 4))
+        n, m, rest, dout = (int(v) for v in rng.integers(1, 7, 4))
+        d = m + rest
         e = RingMatrix.from_ints(rng.integers(0, 2**63, (n, d)).tolist(), P)
         w = RingMatrix.from_ints(rng.integers(0, 2**63, (d, dout)).tolist(), P)
-        m_pub = key.ring_matrix(m, d, P, "pub", trial)
+        r = key.ring_matrix(m, rest, P, "pub", trial)
+        m_pub = full_base(r)
         m_pvt = derive_step_mask(key, trial, "op", n, m, P)
-        e_hat = mask_embedding(e, m_pvt, m_pub)
+        e_hat = mask_embedding(e, m_pvt, r)
         o_hat = ring_matmul(e_hat, w)
         r_pub = ring_matmul(m_pub, w)
         assert recover(o_hat, m_pvt, r_pub) == ring_matmul(e, w)
@@ -354,3 +258,70 @@ def test_mask_shape_errors():
         mask_embedding(e, zeros(1, 2, P), zeros(3, 2, P))
     with pytest.raises(ShapeMismatch):
         recover(e, zeros(1, 2, P), zeros(3, 2, P))
+
+
+# --- the systematic form [I_m | R], property by property -------------------------------
+
+_SHAPES = st.integers(2, 12).flatmap(
+    lambda d: st.tuples(st.integers(1, d - 1), st.just(d), st.integers(1, 4), st.integers(1, 4))
+)
+
+
+def _draw(seed: int, rows: int, cols: int) -> RingMatrix:
+    return RingMatrix(np.random.default_rng(seed).integers(0, 2**64, (rows, cols), dtype=np.uint64), P)
+
+
+@given(_SHAPES, st.integers(0, 2**32))
+@example((1, 2, 1, 1), 0)
+@example((1, 12, 4, 4), 1)
+@example((11, 12, 3, 2), 2)
+@settings(max_examples=200, deadline=None)
+def test_systematic_mask_is_the_full_base_product(shape, seed):
+    m, d, n, _ = shape
+    e, m_pvt, r = _draw(seed, n, d), _draw(seed + 1, n, m), _draw(seed + 2, m, d - m)
+    old = RingMatrix(e.data + ring_matmul(m_pvt, full_base(r)).data, P)
+    assert mask_embedding(e, m_pvt, r) == old
+
+
+@given(_SHAPES, st.integers(0, 2**32))
+@example((1, 2, 1, 1), 0)
+@example((11, 12, 4, 3), 1)
+@settings(max_examples=100, deadline=None)
+def test_recover_of_the_providers_reply_is_the_plain_product(shape, seed):
+    m, d, n, d_out = shape
+    w, e, r = _draw(seed, d, d_out), _draw(seed + 1, n, d), _draw(seed + 2, m, d - m)
+    provider = ProviderState({"op": w}, P)
+    pool = provider.handle(SetupBase("op", r))
+    assert isinstance(pool, PoolReply) and pool.pool == ring_matmul(full_base(r), w)
+    m_pvt = _draw(seed + 3, n, m)
+    reply = provider.handle(MatMulRequest(1, 0, "op", mask_embedding(e, m_pvt, r)))
+    assert isinstance(reply, MatMulReply)
+    assert recover(reply.product, m_pvt, pool.pool) == ring_matmul(e, w)
+
+
+@given(_SHAPES, st.integers(0, 2**32))
+@example((1, 2, 1, 1), 0)
+@example((11, 12, 1, 1), 1)
+@settings(max_examples=100, deadline=None)
+def test_kernel_of_the_systematic_base_is_minus_r_over_identity(shape, seed):
+    m, d, _, _ = shape
+    r = _draw(seed, m, d - m)
+    rank, kernel = ring_kernel(full_base(r))
+    minus_r = np.uint64(0) - r.data
+    assert rank == m
+    assert kernel == RingMatrix(np.vstack([minus_r, np.eye(d - m, dtype=np.uint64)]), P)
+
+
+@given(st.integers(1, 12), st.integers(0, 13), st.integers(0, 13), st.booleans())
+@example(4, 4, 0, False)
+@example(4, 0, 4, False)
+@example(4, 2, 2, True)
+@settings(max_examples=200, deadline=None)
+def test_provider_refuses_a_malformed_r(d, rows, cols, other_f):
+    if rows >= 1 and cols >= 1 and rows + cols == d and not other_f:
+        return  # well formed
+    provider = ProviderState({"op": _draw(0, d, 2)}, P)
+    r = RingMatrix(np.ones((rows, cols), dtype=np.uint64), QuantParams(f=8) if other_f else P)
+    reply = provider.handle(SetupBase("op", r))
+    assert isinstance(reply, ErrorReply) and reply.code in ("ShapeMismatch", "BadDims")
+    assert provider.issued == set()

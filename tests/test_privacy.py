@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import slow_matmul
+from conftest import full_base, slow_matmul
 
 from remo.attack import make_corpus
 from remo.errors import BadParams, DimTooLarge, ShapeMismatch, TrivialKernel
@@ -24,6 +24,7 @@ from remo.protocol import (
     Enclave,
     ErrorReply,
     InProcTransport,
+    MatMulReply,
     MatMulRequest,
     PoolReply,
     ProviderState,
@@ -155,14 +156,14 @@ def test_kernel_zero_matrix():
 
 def test_kernel_random_full_row_rank():
     issuer = MaskIssuer(PrgKey.from_int(77), P)
-    base = issuer.gen_public_base("op", m=6, d=11)
+    base = full_base(issuer.gen_public_base("op", m=6, d=11))
     rank, kernel = ring_kernel(base)
     assert rank == 6
     assert kernel.cols == 11 - 6
-    # independent checks: numpy rank agrees, the basis annihilates in Python
-    # ints, and its rows at the free columns are the identity
-    float_rank = np.linalg.matrix_rank(base.signed().astype(np.float64))
-    assert float_rank == 6
+    # independent checks: an identity minor gives rank 6 over any ring, the
+    # basis annihilates in Python ints, and its rows at the free columns
+    # are the identity
+    assert [row[:6] for row in base.to_ints()] == np.eye(6, dtype=int).tolist()
     n = kernel.to_ints()
     assert slow_matmul(base.to_ints(), n) == [[0] * 5 for _ in range(6)]
     free = [i for i, row in enumerate(n) if sorted(row) == [0, 0, 0, 0, 1]]
@@ -188,7 +189,7 @@ def test_consistent_weights_canonical_identity():
 
 def test_consistent_weights_random_distinct():
     issuer = MaskIssuer(PrgKey.from_int(78), P)
-    base = issuer.gen_public_base("op", m=4, d=8)
+    base = full_base(issuer.gen_public_base("op", m=4, d=8))
     rng = np.random.default_rng(0)
     w = RingMatrix.from_ints(rng.integers(0, 2**63, (8, 3)).tolist(), P)
     r_pub = ring_matmul(base, w)
@@ -234,7 +235,7 @@ def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
         assert DecoderEngine(toy_weights.enclave_view(), recording).generate(prompt, 4) == response
         fed.update({(pi, step): t for step, t in enumerate(list(prompt) + response[:-1])})
     kernels = {
-        e.message.op_id: ring_kernel(e.message.base)[1]
+        e.message.op_id: ring_kernel(full_base(e.message.r))[1]
         for e in transcript.entries
         if isinstance(e.message, SetupBase)
     }
@@ -259,19 +260,31 @@ def test_kernel_projection_of_masked_rows_is_the_raw_projection(toy_weights):
 
 
 def test_enclave_chosen_base_reads_weight_rows(toy_weights):
-    """The enclave chooses the base and the provider checks only its shape and
-    params, so identity rows as the base read rows of W, bit for bit.  The
-    one-base-per-op rule limits how many sketches an op releases, not what
-    one sketch reveals."""
+    """The enclave chooses R and the provider checks only its shape and
+    params, so R = 0, the base [I_m | 0], reads the first m rows of W, bit
+    for bit.  The one-base-per-op rule limits how many sketches an op
+    releases, not what one sketch reveals."""
     provider = ProviderState(toy_weights.provider_view(), P)
     w = toy_weights.ops["l0.wqkv"]
     d = w.rows
-    eye = np.eye(d, dtype=np.uint64)
-    reply = provider.handle(SetupBase("l0.wqkv", RingMatrix(eye[: d - 1], P)))
+    reply = provider.handle(SetupBase("l0.wqkv", RingMatrix(np.zeros((d - 1, 1), dtype=np.uint64), P)))
     assert isinstance(reply, PoolReply)
     assert reply.pool == RingMatrix(w.data[: d - 1], P)
-    second = provider.handle(SetupBase("l0.wqkv", RingMatrix(eye[1:], P)))
+    second = provider.handle(SetupBase("l0.wqkv", RingMatrix(np.ones((d - 1, 1), dtype=np.uint64), P)))
     assert isinstance(second, ErrorReply) and second.code == "SketchReissue"
+
+
+def test_unit_row_requests_read_every_weight_matrix(toy_weights):
+    """Weight privacy against the client assumes an attested enclave: one
+    MatMulRequest of the d_in unit rows per op returns that op's W, bit for
+    bit, with no SetupBase or OpenSession first and nothing issued."""
+    provider = ProviderState(toy_weights.provider_view(), P)
+    for op_id, w in toy_weights.ops.items():
+        eye = RingMatrix(np.eye(w.rows, dtype=np.uint64), P)
+        reply = provider.handle(MatMulRequest(99, 0, op_id, eye))
+        assert isinstance(reply, MatMulReply) and reply.product == w, op_id
+    assert len(toy_weights.ops) == 9
+    assert provider.issued == set()
 
 
 # --- sketch stacking ----------------------------------------------------------------------

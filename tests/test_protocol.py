@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_message, zero_step_mask
+from conftest import full_base, random_message, zero_step_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,12 +121,12 @@ def test_decode_edited_frames_raise_only_remo_errors(data):
 
 def test_setup_reply_shape_and_oracle(toy_world):
     weights, provider, enclave, transport, _ = toy_world
-    base = enclave._issuer.gen_public_base("l0.wqkv", 16, 32)
-    reply = provider.handle(SetupBase("l0.wqkv", base))
+    r = enclave._issuer.gen_public_base("l0.wqkv", 16, 32)
+    reply = provider.handle(SetupBase("l0.wqkv", r))
     assert isinstance(reply, PoolReply)
     assert reply.pool.shape == (16, 96)
     # local oracle recomputation on the provider's own weight matrix
-    assert reply.pool == ring_matmul(base, weights.ops["l0.wqkv"])
+    assert reply.pool == ring_matmul(full_base(r), weights.ops["l0.wqkv"])
 
 
 def test_setup_reissue_refused(toy_world):
@@ -138,12 +138,15 @@ def test_setup_reissue_refused(toy_world):
 
 
 def test_square_and_tall_bases_refused(toy_world):
-    # a pool of d independent rows would let the enclave solve for the weights
+    # a pool of d independent rows would let the enclave solve for the weights.
+    # A square base [I_32] is an R with no columns; a tall one has no
+    # systematic form, and an R as wide as d_in names a 16 x 48 base.
     _, provider, enclave, transport, _ = toy_world
     key = PrgKey.from_int(5)
-    for rows in (32, 40):
-        reply = provider.handle(SetupBase("l0.wqkv", key.ring_matrix(rows, 32, P, "base", rows)))
-        assert isinstance(reply, ErrorReply) and reply.code == "BadDims"
+    for (rows, cols), code in {(32, 0): "BadDims", (0, 32): "BadDims",
+                               (16, 32): "ShapeMismatch"}.items():
+        reply = provider.handle(SetupBase("l0.wqkv", key.ring_matrix(rows, cols, P, "base", rows)))
+        assert isinstance(reply, ErrorReply) and reply.code == code
     assert provider.issued == set()
     enclave.setup(transport)
     assert provider.issued == set(enclave.cfg.op_ids())
@@ -357,13 +360,13 @@ def test_fixed_right_operands_are_held_once_column_major():
     transcript = Transcript()
     enclave = Enclave(weights.enclave_view(), master_seed=7)
     enclave.setup(RecordingTransport(InProcTransport(provider), transcript))
-    sent = {e.message.op_id: e.message.base for e in transcript.entries if isinstance(e.message, SetupBase)}
+    sent = {e.message.op_id: e.message.r for e in transcript.entries if isinstance(e.message, SetupBase)}
     pools = {e.message.op_id: e.message.pool for e in transcript.entries if isinstance(e.message, PoolReply)}
     assert set(sent) == set(pools) == set(enclave.bases) == set(WIDE_CFG.op_ids())
     for op_id, base in enclave.bases.items():
-        assert base.public_base.data.flags.f_contiguous and base.pool.data.flags.f_contiguous
+        assert base.r.data.flags.f_contiguous and base.pool.data.flags.f_contiguous
         assert sent[op_id].data.flags.c_contiguous  # the wire form is unchanged
-        assert base.public_base == sent[op_id] and base.pool == pools[op_id], op_id
+        assert base.r == sent[op_id] and base.pool == pools[op_id], op_id
 
     # row-major weights handed to the provider are converted once
     rows = {op_id: RingMatrix(np.ascontiguousarray(w.data), P)
@@ -596,7 +599,7 @@ def test_shutdown_does_not_wait_out_idle_connections(toy_weights):
 def _toy_frames() -> list[bytes]:
     """Well-formed requests the toy provider answers with a product or a pool."""
     rng = np.random.default_rng(5)
-    base = RingMatrix.from_ints(rng.integers(0, 2**63, (16, 32)).tolist(), P)
+    base = RingMatrix.from_ints(rng.integers(0, 2**63, (16, 16)).tolist(), P)  # R of [I | R]
     row = RingMatrix.from_ints(rng.integers(0, 2**63, (2, 32)).tolist(), P)
     return [
         encode_message(SetupBase("l0.wo", base)),
@@ -737,7 +740,7 @@ def test_role_separation_is_structural(toy_world):
     all_w = list(weights.provider_view().values())
     for base in enclave.bases.values():
         assert all(base.pool != w for w in all_w)
-        assert all(base.public_base != w for w in all_w)
+        assert all(base.r != w and base.public_base != w for w in all_w)
     assert not hasattr(enclave, "ops")
 
 
